@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .analytics import free_evolution_fidelity, perturbative_ground_energy, preparation_stats
 from .dynamics import (
+    IntegrationError,
     bloch_evolution,
     evolve,
     finite_efficiency_fidelity,
@@ -41,7 +42,7 @@ from .register import (
 from .runio import RunManifest, write_csv, write_sidecar
 from .svg import SvgError, emit_svg
 
-CONFIG_ERRORS = (ParameterError, ModelError, SvgError, FileNotFoundError, OSError, ValueError)
+CONFIG_ERRORS = (ParameterError, ModelError, SvgError, IntegrationError, FileNotFoundError, OSError, ValueError)
 
 
 def _fail(message: str) -> None:

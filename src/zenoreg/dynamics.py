@@ -8,7 +8,9 @@ levels of description are implemented, from most to least microscopic:
    for null-measurement trajectories.
 2. Jump Monte Carlo ensembles: the standard waiting-time unraveling with a
    single jump class.  A molecular decay dumps the atom pair out of the
-   trap, so a jump terminates the trajectory as a register failure.
+   trap, so a jump terminates the trajectory as a register failure; every
+   survivor therefore follows the same conditioned state, and the ensemble
+   is that one trajectory's norm curve inverted against N thresholds.
 3. The reduced master equation for (rho_TT, rho_SS, rho_ST) with per-state
    coherence damping kappa_j and uniform population damping 2 kappa.
 4. A pseudo two-state Bloch system (u, v, w, x) and its closed-form
@@ -31,8 +33,6 @@ rotation with 0.01/(U+|V_c|).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +52,6 @@ from .register import (
 
 MAX_OUTPUT_SAMPLES = 5000
 NORM_MONOTONE_TOL = 1e-9
-ENSEMBLE_CHUNK = 4096  # per-column arithmetic is chunk-invariant; sizing is speed only
-DENSE_STEP_DIM = 128  # below this, apply the one-step RK4 matrix densely
 
 
 class IntegrationError(RuntimeError):
@@ -86,11 +84,16 @@ def _plan_grid(t_end: float, dt: float, max_samples: int):
     return n_steps, stride, t_end / n_steps, n_gaps
 
 
-def _check_step(op: SparseOperator, dt: float) -> None:
-    bound = 0.05 / op.frequency_bound() if op.frequency_bound() > 0 else math.inf
-    if dt > bound * (1.0 + 1e-12):
+def _max_step(op: SparseOperator) -> float:
+    """Largest accepted RK4 step, 0.05 / frequency_bound (inf for a zero operator)."""
+    freq = op.frequency_bound()
+    return 0.05 / freq if freq > 0 else math.inf
+
+
+def _check_step(dt: float, max_step: float) -> None:
+    if dt > max_step * (1.0 + 1e-12):
         raise IntegrationError(
-            f"dt = {dt:.6g} too large for this operator; require dt <= {bound:.6g}"
+            f"dt = {dt:.6g} too large for this operator; require dt <= {max_step:.6g}"
         )
 
 
@@ -115,18 +118,6 @@ def _rk4_step_inplace(a, psi, tmp):
     k2 += k4
     k2 /= 6.0
     psi += k2
-
-
-def _rk4_step_matrix(matrix, dt: float) -> np.ndarray:
-    """Dense one-step RK4 update for a time-independent generator.
-
-    For constant H the staged RK4 update is the fixed polynomial
-    I + A + A^2/2 + A^3/6 + A^4/24 with A = -i dt H; applying it as a
-    single matrix product avoids the staged temporaries on small systems.
-    """
-    a = (matrix * (-1j * dt)).toarray()
-    a2 = a @ a
-    return np.eye(matrix.shape[0], dtype=np.complex128) + a + a2 / 2.0 + a2 @ a / 6.0 + a2 @ a2 / 24.0
 
 
 @dataclass
@@ -172,9 +163,10 @@ def evolve(
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
     if amps0.shape[0] != op.dim:
         raise IntegrationError("state and operator dimensions differ")
+    max_step = _max_step(op)
     if dt is None:
-        dt = 0.05 / op.frequency_bound() if op.frequency_bound() > 0 else t_end
-    _check_step(op, dt)
+        dt = max_step if math.isfinite(max_step) else t_end
+    _check_step(dt, max_step)
     n_steps, stride, h, n_gaps = _plan_grid(t_end, dt, max_samples)
 
     a = _rk4_factor(op.matrix, h)
@@ -213,6 +205,22 @@ def _resolve_model(model: str | None, n: int) -> str:
     raise ValueError(f"unknown model {model!r}")
 
 
+def _conditioned_problem(p: DerivedParams, n: int, model: str | None, dt: float | None):
+    """Model name, generator, initial state and step of the conditioned dynamics.
+
+    The register starts in the perturbative ground state; the full model
+    keeps the molecular states, the eliminated one evolves the T+S layout.
+    """
+    model = _resolve_model(model, n)
+    basis = build_basis(n)
+    ground = perturbative_ground_state(basis, p)
+    if model == "full":
+        op = build_effective_hamiltonian(basis, p)
+        return model, op, ground, dt if dt is not None else full_model_step(p)
+    op = build_eliminated_hamiltonian(basis, p)
+    return model, op, ground.reduced(), dt if dt is not None else eliminated_model_step(p)
+
+
 def null_trajectory(
     p: DerivedParams,
     n: int,
@@ -227,17 +235,7 @@ def null_trajectory(
     into |T>; the series carries ``t_sat``, the first time the conditioned
     fidelity reaches 99.9% of its final value.
     """
-    model = _resolve_model(model, n)
-    basis = build_basis(n)
-    ground = perturbative_ground_state(basis, p)
-    if model == "full":
-        op = build_effective_hamiltonian(basis, p)
-        psi0 = ground
-        dt = dt if dt is not None else full_model_step(p)
-    else:
-        op = build_eliminated_hamiltonian(basis, p)
-        psi0 = ground.reduced()
-        dt = dt if dt is not None else eliminated_model_step(p)
+    _, op, psi0, dt = _conditioned_problem(p, n, model, dt)
     series = evolve(
         op, psi0, t_end, dt=dt, max_samples=max_samples, enforce_norm_monotone=True
     )
@@ -255,12 +253,13 @@ class EnsembleResult:
     """Statistics of a seeded jump Monte Carlo ensemble.
 
     ``jump_times`` holds one entry per trajectory (NaN if it survived).
-    ``uncond_t_population`` estimates the unconditioned target population:
-    the normalized |c_T|^2/||psi||^2 of surviving trajectories averaged
-    over the whole ensemble with failures contributing zero.  Since a
-    survivor's normalized state is deterministic and the survival indicator
-    has mean ||psi||^2, this estimator is unbiased for the rho_TT of the
-    trace-non-preserving master equation (a failed register holds no
+    Every survivor carries the same conditioned state, so ``cond_fidelity``
+    is that state's |c_T|^2/||psi||^2 (NaN once no trajectory is left) and
+    ``survival`` is the fraction of thresholds still below ||psi||^2.
+    ``uncond_t_population`` = survival * cond_fidelity estimates the
+    unconditioned target population with failures contributing zero; since
+    the survival indicator has mean ||psi||^2, it is unbiased for the rho_TT
+    of the trace-non-preserving master equation (a failed register holds no
     target population).
     """
 
@@ -302,105 +301,54 @@ def jump_ensemble(
     Each trajectory draws one uniform threshold r from a stream derived
     from (seed, trajectory index) and evolves under the non-Hermitian
     Hamiltonian until ||psi||^2 <= r, which marks a molecular decay: the
-    register is lost and the trajectory ends.  Results are bit-identical
-    for a given (seed, n_traj, parameters) regardless of the worker count:
-    trajectories are processed in fixed-size chunks whose arithmetic is
-    independent of scheduling, and merged in index order.
+    register is lost and the trajectory ends.  All trajectories start from
+    the same state and a jump ends them, so the survivors share one
+    conditioned evolution.  That evolution is integrated once, recording
+    ||psi||^2 after every RK4 step; trajectory i jumps at the first step
+    whose norm is <= r_i, found by searching r_i in the running minimum of
+    the norms.  The cost is one trajectory plus ``n_traj`` threshold draws.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    model = _resolve_model(model, n)
-    basis = build_basis(n)
-    ground = perturbative_ground_state(basis, p)
-    if model == "full":
-        op = build_effective_hamiltonian(basis, p)
-        psi0 = ground.amplitudes
-        dt = dt if dt is not None else full_model_step(p)
-    else:
-        op = build_eliminated_hamiltonian(basis, p)
-        psi0 = ground.reduced().amplitudes
-        dt = dt if dt is not None else eliminated_model_step(p)
-    _check_step(op, dt)
+    model, op, psi0, dt = _conditioned_problem(p, n, model, dt)
+    _check_step(dt, _max_step(op))
     n_steps, stride, h, n_gaps = _plan_grid(t_end, dt, max_samples)
-    dense_step = op.dim <= DENSE_STEP_DIM
-    r_step = _rk4_step_matrix(op.matrix, h) if dense_step else None
-    a = None if dense_step else op.matrix * (-1j * h)
 
-    chunk_bounds = [(s, min(s + ENSEMBLE_CHUNK, n_traj)) for s in range(0, n_traj, ENSEMBLE_CHUNK)]
+    a = _rk4_factor(op.matrix, h)
+    psi = psi0.amplitudes.astype(np.complex128, copy=True)
+    tmp = np.empty_like(psi)
+    step_norm = np.empty(n_steps)  # ||psi||^2 after steps 1..n_steps
+    fid = np.empty(n_gaps + 1)
+    fid[0] = float(abs(psi[0]) ** 2 / np.vdot(psi, psi).real)
+    k = 0
+    for i in range(1, n_gaps + 1):
+        for _ in range(stride):
+            _rk4_step_inplace(a, psi, tmp)
+            step_norm[k] = np.vdot(psi, psi).real
+            k += 1
+        nsq = step_norm[k - 1]
+        fid[i] = float(abs(psi[0]) ** 2 / nsq) if nsq > 0 else 0.0
 
-    def run_chunk(bounds):
-        start, stop = bounds
-        count = stop - start
-        thresholds = np.array([_trajectory_threshold(seed, i) for i in range(start, stop)])
-        psi = np.tile(psi0[:, None], (1, count))
-        tmp = np.empty_like(psi)
-        alive = np.ones(count, dtype=bool)
-        jump_step = np.full(count, -1, dtype=np.int64)
+    thresholds = np.array([_trajectory_threshold(seed, i) for i in range(n_traj)])
+    # The first step with ||psi||^2 <= r is the first whose running minimum
+    # is <= r, and the running minimum is sorted even where the last bit of
+    # the norm is not monotone.  Step n_steps + 1 marks a survivor.
+    floor = np.minimum.accumulate(step_norm)
+    jump_step = np.searchsorted(-floor, -thresholds, side="left") + 1
+    sample_step = np.arange(n_gaps + 1) * stride
+    alive = n_traj - np.searchsorted(np.sort(jump_step), sample_step, side="right")
 
-        alive_count = np.empty(n_gaps + 1, dtype=np.int64)
-        cond_sum = np.empty(n_gaps + 1)
-
-        def column_norms():
-            return np.einsum("ij,ij->j", psi.real, psi.real) + np.einsum(
-                "ij,ij->j", psi.imag, psi.imag
-            )
-
-        def record(i):
-            norms = column_norms()
-            pop = np.abs(psi[0, :]) ** 2
-            alive_count[i] = int(alive.sum())
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cond = np.where(norms > 0, pop / norms, 0.0)
-            cond_sum[i] = float(cond[alive].sum())
-
-        record(0)
-        step = 0
-        for i in range(1, n_gaps + 1):
-            for _ in range(stride):
-                if dense_step:
-                    np.matmul(r_step, psi, out=tmp)
-                    psi, tmp = tmp, psi
-                else:
-                    _rk4_step_inplace(a, psi, tmp)
-                step += 1
-                norms = column_norms()
-                crossed = alive & (norms <= thresholds)
-                if crossed.any():
-                    jump_step[crossed] = step
-                    alive[crossed] = False
-            record(i)
-        return alive_count, cond_sum, jump_step
-
-    requested = workers if workers is not None else (os.cpu_count() or 1)
-    cap = os.environ.get("ZENO_THREADS")
-    if cap is not None:
-        requested = min(requested, max(1, int(cap)))
-    requested = max(1, min(requested, len(chunk_bounds)))
-
-    if requested == 1:
-        results = [run_chunk(b) for b in chunk_bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=requested) as pool:
-            results = list(pool.map(run_chunk, chunk_bounds))
-
-    alive_total = sum(r[0] for r in results)
-    cond_total = sum(r[1] for r in results)
-    jump_steps = np.concatenate([r[2] for r in results])
-
-    t = np.linspace(0.0, t_end, n_gaps + 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond_fid = np.where(alive_total > 0, cond_total / alive_total, np.nan)
-    jump_times = np.where(jump_steps >= 0, jump_steps * h, np.nan)
-
+    survival = alive / n_traj
     return EnsembleResult(
         n_traj=n_traj,
         seed=seed,
         model=model,
-        t=t,
-        survival=alive_total / n_traj,
-        cond_fidelity=cond_fid,
-        uncond_t_population=cond_total / n_traj,
-        jump_times=jump_times,
+        t=np.linspace(0.0, t_end, n_gaps + 1),
+        survival=survival,
+        cond_fidelity=np.where(alive > 0, fid, np.nan),
+        uncond_t_population=survival * fid,
+        jump_times=np.where(jump_step <= n_steps, jump_step * h, np.nan),
     )
 
 

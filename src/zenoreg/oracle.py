@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg
 
-from .dynamics import MAX_OUTPUT_SAMPLES, TrajectorySeries, _check_step, _plan_grid, _rk4_factor, _rk4_step_inplace
+from .dynamics import MAX_OUTPUT_SAMPLES, TrajectorySeries, _check_step, _max_step, _plan_grid, _rk4_factor, _rk4_step_inplace
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
@@ -185,9 +185,10 @@ def _evolve_unit_filled(
         raise ModelError("free-evolution fidelity requires N = M")
     op = build_bose_hubbard(basis, j, u, delta)
     target = basis.unit_filled_index
+    max_step = _max_step(op)
     if dt is None:
-        dt = 0.05 / op.frequency_bound()
-    _check_step(op, dt)
+        dt = max_step
+    _check_step(dt, max_step)
     n_steps, stride, h, n_gaps = _plan_grid(t_end, dt, max_samples)
 
     a = _rk4_factor(op.matrix, h)

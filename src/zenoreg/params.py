@@ -63,6 +63,10 @@ class PhysicalConfig:
     hole_probability_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         positive = [
             "wavelength_m", "mass_kg", "scattering_length_m",
             "depth_parallel_er", "depth_transverse_er", "linewidth_hz",

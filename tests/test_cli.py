@@ -53,6 +53,15 @@ class TestParamsCommand:
         result = runner.invoke(main, ["params", "--config", str(tmp_path / "nope.cfg")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("line", ["wavelength_m = nan", "trap_frequency_hz = inf"])
+    def test_nonfinite_config_exit_code(self, runner, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        result = runner.invoke(main, ["params", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert f"{line.split()[0]} must be finite" in result.output
+        assert not (tmp_path / "r.json").exists()
+
     def test_strict_regime_violation(self, runner, tmp_path):
         # a shallow lattice boosts J: measurement too weak for the register
         cfg = tmp_path / "weak.cfg"
@@ -98,6 +107,22 @@ class TestTrajectoryCommand:
         )
         assert result.exit_code == 0
         assert open(f"{out}.csv").readline().startswith("t_s,")
+
+
+class TestIntegrationErrorExitCode:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["trajectory", "--n", "5", "--dt", "1"], "require dt <="),
+            (["trajectory", "--n", "5", "--t-end", "0"], "t_end and dt must be positive"),
+            (["nonselective", "--n", "5", "--dt", "1"], "require dt <="),
+        ],
+    )
+    def test_refused_step_exits_2(self, runner, tmp_path, args, message):
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
 
 class TestEnsembleCommand:

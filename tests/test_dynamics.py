@@ -154,6 +154,29 @@ class TestJumpEnsemble:
         assert ens.survival[0] == 1.0
         assert np.all(np.diff(ens.survival) <= 0.0)
 
+    # 5000 samples put every second step on the grid, so jumps land on samples
+    @pytest.mark.parametrize("model, max_samples", [("full", 13), ("eliminated", 5000)])
+    def test_collapse_onto_conditioned_trajectory(self, model, max_samples):
+        p = measurement_test_params()
+        n_traj, seed = 4000, 5
+        grid = dict(t_end=4.0, model=model, max_samples=max_samples)
+        ens = jump_ensemble(p, 5, n_traj=n_traj, seed=seed, **grid)
+        series = null_trajectory(p, 5, **grid)
+        assert np.array_equal(ens.t, series.t)
+        # every survivor carries the one conditioned state
+        assert np.max(np.abs(ens.cond_fidelity - series.fidelity)) < 1e-12
+        # trajectory i survives while its threshold, drawn from the stream
+        # keyed by (seed, i), stays below the conditioned norm
+        thresholds = np.array([np.random.default_rng([seed, i]).random() for i in range(n_traj)])
+        below = np.array([(thresholds < nsq).mean() for nsq in series.norm_sq])
+        assert np.array_equal(ens.survival, below)
+        jumps = ens.jump_times
+        later = np.array([(np.isnan(jumps) | (jumps > t)).mean() for t in ens.t])
+        assert np.array_equal(ens.survival, later)
+        assert 0 < np.isfinite(jumps).sum() < n_traj
+        # failed registers contribute no target population
+        assert np.max(np.abs(ens.uncond_t_population - later * series.fidelity)) < 1e-12
+
 
 class TestReducedMasterEquation:
     def test_static_limit(self):

@@ -235,6 +235,12 @@ class TestConfigParsing:
         with pytest.raises(ParameterError, match="line 2"):
             parse_config_text("atoms = 551\nnonsense\n")
 
+    @pytest.mark.parametrize("key", ["wavelength_m", "trap_frequency_hz", "detuning_gamma", "efficiency"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_rejected_with_key(self, key, value):
+        with pytest.raises(ParameterError, match=f"{key} must be finite"):
+            parse_config_text(f"{key} = {value}")
+
     def test_invariants_enforced(self):
         with pytest.raises(ParameterError):
             PhysicalConfig(register_sites=500)  # even
