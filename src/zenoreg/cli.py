@@ -10,6 +10,7 @@ resolved manifest next to its data.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import replace
 
@@ -78,11 +79,12 @@ def _parse_t_end(text, p) -> float:
         return None
     text = str(text).strip()
     try:
-        if text.endswith("/J"):
-            return float(text[:-2]) / p.j_over_u
-        return float(text)
+        value = float(text[:-2]) / p.j_over_u if text.endswith("/J") else float(text)
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"cannot parse t-end value {text!r}") from None
+    if not math.isfinite(value):
+        raise ParameterError(f"t-end must be finite, got {text!r}")
+    return value
 
 
 def _time_column(t, p, hz):
@@ -322,6 +324,8 @@ def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
     n_reg = cfg.register_sites
     try:
         t_end = _parse_t_end(t_end, p)
+        if t_end <= 0:
+            raise ParameterError(f"t-end must be positive, got {t_end:g}")
         basis = build_basis(n_reg)
         rho0 = fidelity(perturbative_ground_state(basis, p))
         t = np.linspace(0.0, t_end, 1001)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg
 
-from .dynamics import MAX_OUTPUT_SAMPLES, TrajectorySeries, _check_step, _max_step, _plan_grid, _rk4_factor, _rk4_step_inplace
+from .dynamics import MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
@@ -185,32 +185,16 @@ def _evolve_unit_filled(
         raise ModelError("free-evolution fidelity requires N = M")
     op = build_bose_hubbard(basis, j, u, delta)
     target = basis.unit_filled_index
-    max_step = _max_step(op)
-    if dt is None:
-        dt = max_step
-    _check_step(dt, max_step)
-    n_steps, stride, h, n_gaps = _plan_grid(t_end, dt, max_samples)
-
-    a = _rk4_factor(op.matrix, h)
     psi = np.zeros(basis.dimension, dtype=np.complex128)
     psi[target] = 1.0
-    tmp = np.empty_like(psi)
-
-    def mean_energy():
-        return float(np.vdot(psi, op.matvec(psi)).real / np.vdot(psi, psi).real)
-
-    t = np.linspace(0.0, t_end, n_gaps + 1)
-    fid = np.empty(n_gaps + 1)
-    norm = np.empty(n_gaps + 1)
-    energy = np.empty(n_gaps + 1)
-    fid[0], norm[0], energy[0] = 1.0, 1.0, mean_energy()
-    for i in range(1, n_gaps + 1):
-        for _ in range(stride):
-            _rk4_step_inplace(a, psi, tmp)
-        nsq = float(np.vdot(psi, psi).real)
-        norm[i] = nsq
-        fid[i] = float(abs(psi[target]) ** 2)  # overlap with the unit-filled state
-        energy[i] = mean_energy()
+    t, samples = _schrodinger(op, psi, t_end, dt, max_samples)
+    fid = np.empty(t.size)
+    norm = np.empty(t.size)
+    energy = np.empty(t.size)
+    for i, y in enumerate(samples):
+        norm[i] = np.vdot(y, y).real
+        fid[i] = abs(y[target]) ** 2  # overlap with the unit-filled state
+        energy[i] = np.vdot(y, op.matvec(y)).real / norm[i]
     return TrajectorySeries(t=t, fidelity=fid, norm_sq=norm, energy=energy)
 
 

@@ -1,8 +1,13 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from zenoreg.params import DerivedParams, derive_params, reference_config
+
+# property tests replay the same examples on every run
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

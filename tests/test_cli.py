@@ -116,6 +116,16 @@ class TestIntegrationErrorExitCode:
             (["trajectory", "--n", "5", "--dt", "1"], "require dt <="),
             (["trajectory", "--n", "5", "--t-end", "0"], "t_end and dt must be positive"),
             (["nonselective", "--n", "5", "--dt", "1"], "require dt <="),
+            (["trajectory", "--n", "5", "--t-end", "inf"], "t-end must be finite"),
+            (["trajectory", "--n", "5", "--dt", "nan"], "t_end and dt must be positive"),
+            (["nonselective", "--n", "5", "--t-end", "nan"], "t-end must be finite"),
+            (["nonselective", "--n", "5", "--dt", "inf"], "t_end and dt must be positive"),
+            (["oracle", "--atoms", "3", "--t-end", "inf/J"], "t-end must be finite"),
+            (["oracle", "--atoms", "3", "--dt", "nan"], "t_end and dt must be positive"),
+            (["free", "--n", "5", "--t-end", "inf"], "t-end must be finite"),
+            (["free", "--n", "5", "--dt", "nan"], "t_end and dt must be positive"),
+            (["efficiency", "--n", "5", "--t-end", "nan"], "t-end must be finite"),
+            (["efficiency", "--n", "5", "--t-end", "-3"], "t-end must be positive"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):

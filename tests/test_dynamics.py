@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import free_params, measurement_test_params
 from zenoreg.dynamics import (
@@ -19,8 +21,16 @@ from zenoreg.dynamics import (
     null_trajectory,
     reduced_master_equation,
     zeno_decay_rate,
+    _rme_generator,
 )
-from zenoreg.register import SparseOperator, build_basis, fidelity, perturbative_ground_state
+from zenoreg.register import (
+    SparseOperator,
+    build_basis,
+    coherence_damping_rate,
+    fidelity,
+    pair_state_energy,
+    perturbative_ground_state,
+)
 
 
 def two_level(g: float) -> SparseOperator:
@@ -53,6 +63,11 @@ class TestEvolve:
     def test_step_refused_with_bound(self):
         with pytest.raises(IntegrationError, match="require dt <="):
             evolve(two_level(10.0), np.array([1.0, 0.0]), t_end=1.0, dt=1.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(math.inf, 0.01), (math.nan, 0.01), (1.0, math.nan), (1.0, math.inf)])
+    def test_nonfinite_time_refused(self, t_end, dt):
+        with pytest.raises(IntegrationError, match="t_end and dt must be positive and finite"):
+            evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=t_end, dt=dt)
 
     def test_hermitian_conservation(self):
         p = free_params(500.0, delta=1e-3)
@@ -195,6 +210,10 @@ class TestReducedMasterEquation:
         expected = np.exp(-2.0 * p.kappa_over_u * series.t)
         assert np.max(np.abs(series.rho_ss_sum / expected - 1.0)) < 1e-8
 
+    def test_step_refused_with_bound(self):
+        with pytest.raises(IntegrationError, match="require dt <="):
+            reduced_master_equation(measurement_test_params(), 5, t_end=1.0, dt=1.0)
+
     def test_trace_nonincreasing(self, reference_params):
         series = reduced_master_equation(reference_params, 21, t_end=10.0, max_samples=101)
         assert np.all(np.diff(series.trace) <= 1e-12)
@@ -233,6 +252,10 @@ class TestBlochSystem:
         mask = series.t >= 5.0 / reference_params.vc_over_u
         rel = np.abs(series.rho_tt[mask] - closed[mask]) / closed[mask]
         assert rel.max() < 0.01
+
+    def test_step_refused_with_bound(self):
+        with pytest.raises(IntegrationError, match="require dt <="):
+            bloch_evolution(measurement_test_params(), 5, t_end=1.0, dt=1.0)
 
     def test_collective_coupling_matches_register(self, reference_params):
         # same matrix element the restricted model exhibits between |T> and
@@ -289,3 +312,78 @@ class TestGroundReducedDensity:
         psi = perturbative_ground_state(basis, reference_params)
         assert rho.trace() == pytest.approx(1.0, rel=1e-12)
         assert rho.rho_tt == pytest.approx(fidelity(psi), rel=1e-12)
+
+
+class TestMasterEquationGenerator:
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_matches_written_equations(self, n):
+        # distinct pair energies, so a misplaced pair-state entry shows
+        p = replace(measurement_test_params(n), delta_over_u=0.01)
+        basis = build_basis(n)
+        gen, _ = _rme_generator(p, basis)
+        m = 2 * (n - 1)
+        y = np.random.default_rng(n).standard_normal(1 + 3 * m)
+        rho_tt, rho_ss, rho_st = y[0], y[1 : 1 + m], y[1 + m : 1 + 2 * m] + 1j * y[1 + 2 * m :]
+        s = math.sqrt(2.0) * p.j_over_u
+        energy = np.empty(m)
+        kappa_j = np.empty(m)
+        for j in basis.bonds:
+            for sign in (+1, -1):
+                i = basis.reduced_s_index(int(j), sign) - 1
+                energy[i] = pair_state_energy(int(j), sign, 1.0, p.delta_over_u) + p.vc_over_u
+                kappa_j[i] = coherence_damping_rate(int(j), sign, p)
+        d_tt = -2.0 * s * rho_st.imag.sum()
+        d_ss = 2.0 * s * rho_st.imag - 2.0 * p.kappa_over_u * rho_ss
+        d_st = -(1j * energy + kappa_j) * rho_st + 1j * s * (rho_tt - rho_ss)
+        expected = np.concatenate(([d_tt], d_ss, d_st.real, d_st.imag))
+        assert np.max(np.abs(gen @ y - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@st.composite
+def arrowheads(draw, damped: bool = True):
+    """Complex-symmetric arrowhead: T couples to every S by a real amplitude,
+    each S has a complex energy with non-positive imaginary part."""
+    size = draw(st.integers(1, 6))
+    real = st.floats(-3.0, 3.0)
+    couplings = draw(st.lists(real, min_size=size, max_size=size))
+    energies = draw(st.lists(real, min_size=size, max_size=size))
+    damping = draw(st.lists(st.floats(0.0, 3.0), min_size=size, max_size=size)) if damped else [0.0] * size
+    triplets = [(0, 0, complex(draw(real)))]
+    for k, (c, e, g) in enumerate(zip(couplings, energies, damping), start=1):
+        triplets += [(0, k, complex(c)), (k, 0, complex(c)), (k, k, complex(e, -g))]
+    op = SparseOperator.from_triplets(size + 1, triplets)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi0 = rng.standard_normal(size + 1) + 1j * rng.standard_normal(size + 1)
+    return op, psi0 / np.linalg.norm(psi0)
+
+
+class TestKernelProperties:
+    @settings(max_examples=40)
+    @given(problem=arrowheads(), t_end=st.floats(0.1, 10.0))
+    def test_conditioned_norm_nonincreasing(self, problem, t_end):
+        op, psi0 = problem
+        series = evolve(op, psi0, t_end=t_end)
+        assert np.all(np.diff(series.norm_sq) <= 1e-14)  # rounding of ||psi||^2 only
+
+    @settings(max_examples=40)
+    @given(problem=arrowheads(damped=False), steps=st.integers(1, 2000))
+    def test_hermitian_norm_conserved(self, problem, steps):
+        # RK4 loses (h w)^6 / 72 of the norm per step on a mode of frequency
+        # w; at the largest accepted step, h w <= 0.05, that is 2e-10, so the
+        # step is a fifth of it here and the drift stays far below 1e-8
+        op, psi0 = problem
+        dt = 0.01 / (op.frequency_bound() or 1.0)
+        series = evolve(op, psi0, t_end=steps * dt, dt=dt)
+        assert np.max(np.abs(series.norm_sq - 1.0)) < 1e-8
+
+    @settings(max_examples=20)
+    @given(
+        n=st.sampled_from([3, 5, 7]),
+        strength=st.floats(0.5, 5.0),
+        delta=st.floats(0.0, 0.01),
+        vc=st.floats(0.0, 20.0),
+    )
+    def test_master_equation_trace_nonincreasing(self, n, strength, delta, vc):
+        p = replace(measurement_test_params(n, strength), delta_over_u=delta, vc_over_u=vc)
+        series = reduced_master_equation(p, n, t_end=2.0, max_samples=201)
+        assert np.all(np.diff(series.trace) <= 1e-12)
