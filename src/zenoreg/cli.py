@@ -43,25 +43,29 @@ from .register import (
 from .runio import RunManifest, write_csv, write_sidecar
 from .svg import SvgError, emit_svg
 
-CONFIG_ERRORS = (ParameterError, ModelError, SvgError, IntegrationError, FileNotFoundError, OSError, ValueError)
+CONFIG_ERRORS = (ParameterError, ModelError, SvgError, IntegrationError, OSError, ValueError)
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+class _Main(click.Group):
+    """Command group whose subcommands report bad input, refused steps and
+    unreadable or unwritable files as one error line and exit status 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CONFIG_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
 
 
 def _resolve(config, n, u_over_j, strict):
-    try:
-        cfg = read_config(config) if config else reference_config()
-        if n is not None:
-            cfg = replace(cfg, register_sites=n)
-        p = derive_params(cfg)
-        if u_over_j is not None:
-            p = replace(p, j_over_u=1.0 / u_over_j)
-        report = regime_check(p, cfg.register_sites, cfg.atoms, cfg.hole_probability_threshold)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    cfg = read_config(config) if config else reference_config()
+    if n is not None:
+        cfg = replace(cfg, register_sites=n)
+    p = derive_params(cfg)
+    if u_over_j is not None:
+        p = replace(p, j_over_u=1.0 / u_over_j)
+    report = regime_check(p, cfg.register_sites, cfg.atoms, cfg.hole_probability_threshold)
     if not report.all_ok:
         message = (
             "measurement regime violated: "
@@ -69,7 +73,7 @@ def _resolve(config, n, u_over_j, strict):
             f"edge_ratio={report.edge_ratio:.3g} p_h={report.p_h:.3g}"
         )
         if strict:
-            _fail(message)
+            raise ParameterError(message)
         click.echo(f"warning: {message}", err=True)
     return cfg, p, report
 
@@ -98,7 +102,6 @@ def _manifest(subcommand, cfg, p, seed=None, **kwargs) -> RunManifest:
         "config": {
             "atoms": cfg.atoms,
             "register_sites": cfg.register_sites,
-            "efficiency": cfg.efficiency,
         },
         "derived": p.as_dict(),
     }
@@ -127,7 +130,7 @@ def out_option(default):
     return click.option("--out", default=default, show_default=True, help="output base path")
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Simulate measurement-stabilized register initialization."""
@@ -175,11 +178,8 @@ def ground(config, n, u_over_j, strict, dump_state, out):
     """Perturbative ground state: fidelity, failure probability, energy."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
     basis = build_basis(cfg.register_sites)
-    try:
-        psi = perturbative_ground_state(basis, p)
-        stats = preparation_stats(p, cfg.register_sites)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    psi = perturbative_ground_state(basis, p)
+    stats = preparation_stats(p, cfg.register_sites)
     payload = {
         "fidelity": fidelity(psi),
         "p_fail": stats.p_fail,
@@ -215,11 +215,8 @@ def ground(config, n, u_over_j, strict, dump_state, out):
 def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
     """Null-measurement trajectory from the ground state (conditioned F)."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
-    try:
-        t_end = _parse_t_end(t_end, p)
-        series = null_trajectory(p, cfg.register_sites, t_end=t_end, model=model, dt=dt)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    series = null_trajectory(p, cfg.register_sites, t_end=t_end, model=model, dt=dt)
     name, tcol = _time_column(series.t, p, hz)
     manifest = _manifest("trajectory", cfg, p, t_end=t_end, dt=dt, model=model, hz=hz)
     _emit(
@@ -247,13 +244,10 @@ def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
 def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out):
     """Jump Monte Carlo ensemble: survival and conditional fidelity."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
-    try:
-        t_end = _parse_t_end(t_end, p)
-        result = jump_ensemble(
-            p, cfg.register_sites, n_traj=traj, seed=seed, t_end=t_end, model=model, dt=dt
-        )
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    result = jump_ensemble(
+        p, cfg.register_sites, n_traj=traj, seed=seed, t_end=t_end, model=model, dt=dt
+    )
     name, tcol = _time_column(result.t, p, hz)
     edges, counts = result.jump_histogram()
     n_failed = int(np.isfinite(result.jump_times).sum())
@@ -287,12 +281,9 @@ def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
     """Nonselective decay: master equation vs Bloch system vs closed form."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
     n_reg = cfg.register_sites
-    try:
-        t_end = _parse_t_end(t_end, p)
-        rme = reduced_master_equation(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
-        bloch = bloch_evolution(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    rme = reduced_master_equation(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
+    bloch = bloch_evolution(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
     rho0 = rme.rho_tt[0]
     closed = nonselective_fidelity_closed(p, n_reg, rho0, rme.t)
     # the Bloch reduction starts from a pure target state; rescale to rho0
@@ -322,16 +313,13 @@ def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
     etas = list(eta) if eta else [1.0, 0.9, 0.8]
     n_reg = cfg.register_sites
-    try:
-        t_end = _parse_t_end(t_end, p)
-        if t_end <= 0:
-            raise ParameterError(f"t-end must be positive, got {t_end:g}")
-        basis = build_basis(n_reg)
-        rho0 = fidelity(perturbative_ground_state(basis, p))
-        t = np.linspace(0.0, t_end, 1001)
-        curves = [np.asarray(finite_efficiency_fidelity(e, p, n_reg, rho0, t)) for e in etas]
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    if t_end <= 0:
+        raise ParameterError(f"t-end must be positive, got {t_end:g}")
+    basis = build_basis(n_reg)
+    rho0 = fidelity(perturbative_ground_state(basis, p))
+    t = np.linspace(0.0, t_end, 1001)
+    curves = [np.asarray(finite_efficiency_fidelity(e, p, n_reg, rho0, t)) for e in etas]
     name, tcol = _time_column(t, p, hz)
     header = [name, "rho_ns"] + [f"f_eta_{e:g}" for e in etas]
     columns = [tcol, np.asarray(nonselective_fidelity_closed(p, n_reg, rho0, t))] + curves
@@ -353,22 +341,19 @@ def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
     """Free lattice evolution: closed-form fidelity vs restricted numerics."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
     n_reg = cfg.register_sites
-    try:
-        t_end = _parse_t_end(t_end, p)
-        basis = build_basis(n_reg)
-        h_free = build_free_hamiltonian(basis, p)
-        if from_saturated:
-            sat = null_trajectory(p, n_reg, t_end=30.0, model="eliminated")
-            amps = sat.final_state.expanded().amplitudes
-            psi0 = StateVector(basis, amps / np.linalg.norm(amps))
-        else:
-            amps = np.zeros(basis.dimension, dtype=np.complex128)
-            amps[0] = 1.0
-            psi0 = StateVector(basis, amps)
-        series = evolve(h_free, psi0, t_end=t_end, dt=dt, max_samples=2001)
-        closed = free_evolution_fidelity(n_reg - 1, p.j_over_u, 1.0, p.delta_over_u, series.t)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    basis = build_basis(n_reg)
+    h_free = build_free_hamiltonian(basis, p)
+    if from_saturated:
+        sat = null_trajectory(p, n_reg, t_end=30.0, model="eliminated")
+        amps = sat.final_state.expanded().amplitudes
+        psi0 = StateVector(basis, amps / np.linalg.norm(amps))
+    else:
+        amps = np.zeros(basis.dimension, dtype=np.complex128)
+        amps[0] = 1.0
+        psi0 = StateVector(basis, amps)
+    series = evolve(h_free, psi0, t_end=t_end, dt=dt, max_samples=2001)
+    closed = free_evolution_fidelity(n_reg - 1, p.j_over_u, 1.0, p.delta_over_u, series.t)
     name, tcol = _time_column(series.t, p, hz)
     manifest = _manifest("free", cfg, p, t_end=t_end, dt=dt, from_saturated=from_saturated)
     _emit(
@@ -394,22 +379,19 @@ def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_en
     """Exact Bose-Hubbard evolution vs truncations and the closed form."""
     cfg, p, _ = _resolve(config, None, u_over_j, strict)
     delta = delta_over_u if delta_over_u is not None else p.delta_over_u
-    try:
-        t_end = _parse_t_end(t_end, p)
-        basis = fock_basis(atoms, atoms, boundary)
-        exact = exact_evolve_fidelity(basis, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
-        closed = free_evolution_fidelity(atoms - 1, p.j_over_u, 1.0, delta, exact.t)
-        header = ["t_over_u", "f_exact", "f_closed"]
-        columns = [exact.t, exact.fidelity, np.asarray(closed)]
-        extra = {"basis_dim": basis.dimension}
-        if atoms % 2 == 1:
-            docc = double_occupancy_evolve(atoms, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
-            docc_f = np.interp(exact.t, docc.t, docc.fidelity)
-            header.insert(2, "f_docc")
-            columns.insert(2, docc_f)
-            extra["docc_basis_dim"] = atoms * (atoms - 1) + 1
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    t_end = _parse_t_end(t_end, p)
+    basis = fock_basis(atoms, atoms, boundary)
+    exact = exact_evolve_fidelity(basis, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
+    closed = free_evolution_fidelity(atoms - 1, p.j_over_u, 1.0, delta, exact.t)
+    header = ["t_over_u", "f_exact", "f_closed"]
+    columns = [exact.t, exact.fidelity, np.asarray(closed)]
+    extra = {"basis_dim": basis.dimension}
+    if atoms % 2 == 1:
+        docc = double_occupancy_evolve(atoms, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
+        docc_f = np.interp(exact.t, docc.t, docc.fidelity)
+        header.insert(2, "f_docc")
+        columns.insert(2, docc_f)
+        extra["docc_basis_dim"] = atoms * (atoms - 1) + 1
     name, tcol = _time_column(exact.t, p, hz)
     header[0] = name
     columns[0] = tcol
@@ -427,18 +409,15 @@ def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_en
 @out_option("zenoreg_plot")
 def plot(csv_path, x_label, y_label, title, out):
     """Render a CSV time series (first column = x) as an SVG line plot."""
-    try:
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-        data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != len(header) or len(header) < 2:
-            raise SvgError("CSV must carry a header row and at least two columns")
-        x = data[:, 0]
-        series = [(name, x, data[:, i + 1]) for i, name in enumerate(header[1:])]
-        svg_path = f"{out}.svg"
-        emit_svg(svg_path, series, x_label=x_label or header[0], y_label=y_label, title=title)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc))
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[1] != len(header) or len(header) < 2:
+        raise SvgError("CSV must carry a header row and at least two columns")
+    x = data[:, 0]
+    series = [(name, x, data[:, i + 1]) for i, name in enumerate(header[1:])]
+    svg_path = f"{out}.svg"
+    emit_svg(svg_path, series, x_label=x_label or header[0], y_label=y_label, title=title)
     manifest = RunManifest(subcommand="plot", parameters={"input": str(csv_path)})
     manifest.outputs = [svg_path]
     write_sidecar(f"{out}.json", manifest)

@@ -52,7 +52,6 @@ from .register import (
     build_effective_hamiltonian,
     build_eliminated_hamiltonian,
     coherence_damping_rate,
-    pair_state_energy,
     perturbative_ground_state,
 )
 
@@ -161,7 +160,6 @@ class TrajectorySeries:
     t: np.ndarray
     fidelity: np.ndarray
     norm_sq: np.ndarray
-    jump_time: float | None = None
     t_sat: float | None = None
     final_state: StateVector | None = None
     energy: np.ndarray | None = None
@@ -403,13 +401,8 @@ def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
     """Real generator G of ``reduced_master_equation`` on
     y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST], and its largest accepted step."""
     m = 2 * basis.n_bonds
-    e_plus_vc = np.empty(m)
-    kap_coh = np.empty(m)
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            idx = basis.reduced_s_index(int(j), sign) - 1
-            e_plus_vc[idx] = pair_state_energy(int(j), sign, 1.0, p.delta_over_u) + p.vc_over_u
-            kap_coh[idx] = coherence_damping_rate(int(j), sign, p)
+    e_plus_vc = basis.pair_energies(p.delta_over_u) + p.vc_over_u
+    kap_coh = coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     two_kappa = 2.0 * p.kappa_over_u
     sqrt2j = math.sqrt(2.0) * p.j_over_u
 

@@ -27,10 +27,6 @@ DOUBLE_OCC_CAP = 100_000
 DENSE_EIG_CUTOFF = 2000
 
 
-def _binomial(a: int, b: int) -> int:
-    return math.comb(a, b)
-
-
 def _occupations(n_atoms: int, n_sites: int):
     """All occupation tuples summing to n_atoms, descending lexicographic."""
     if n_sites == 1:
@@ -60,7 +56,7 @@ class FockBasis:
     def states(self) -> tuple:
         if self.restricted:
             return self._double_occupancy_states()
-        count = _binomial(self.n_atoms + self.n_sites - 1, self.n_sites - 1)
+        count = math.comb(self.n_atoms + self.n_sites - 1, self.n_sites - 1)
         if count > FULL_BASIS_CAP:
             raise ModelError(
                 f"Fock basis would have {count} states (cap {FULL_BASIS_CAP})"
@@ -172,15 +168,21 @@ def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
     return energy, vector
 
 
-def _evolve_unit_filled(
+def exact_evolve_fidelity(
     basis: FockBasis,
     j: float,
     u: float,
     delta: float,
     t_end: float,
-    dt: float | None,
-    max_samples: int,
+    dt: float | None = None,
+    max_samples: int = MAX_OUTPUT_SAMPLES,
 ) -> TrajectorySeries:
+    """Evolution from the unit-filled state within ``basis`` (N = M).
+
+    Returns F(t) = |<unit-filled|psi(t)>|^2 on a uniform grid with the
+    energy <H>; the norm is conserved (Hermitian evolution) and reported
+    for drift checks.
+    """
     if basis.n_atoms != basis.n_sites:
         raise ModelError("free-evolution fidelity requires N = M")
     op = build_bose_hubbard(basis, j, u, delta)
@@ -198,23 +200,6 @@ def _evolve_unit_filled(
     return TrajectorySeries(t=t, fidelity=fid, norm_sq=norm, energy=energy)
 
 
-def exact_evolve_fidelity(
-    basis: FockBasis,
-    j: float,
-    u: float,
-    delta: float,
-    t_end: float,
-    dt: float | None = None,
-    max_samples: int = MAX_OUTPUT_SAMPLES,
-) -> TrajectorySeries:
-    """Full Fock-space evolution from the unit-filled state.
-
-    Returns F(t) = |<unit-filled|psi(t)>|^2 on a uniform grid; the norm is
-    conserved (Hermitian evolution) and reported for drift checks.
-    """
-    return _evolve_unit_filled(basis, j, u, delta, t_end, dt, max_samples)
-
-
 def double_occupancy_evolve(
     n_atoms: int,
     j: float,
@@ -227,5 +212,4 @@ def double_occupancy_evolve(
     """Evolution within the one-double-occupancy truncation (N odd)."""
     if n_atoms % 2 == 0:
         raise ModelError("double-occupancy evolution assumes an odd atom number")
-    basis = double_occupancy_basis(n_atoms)
-    return _evolve_unit_filled(basis, j, u, delta, t_end, dt, max_samples)
+    return exact_evolve_fidelity(double_occupancy_basis(n_atoms), j, u, delta, t_end, dt, max_samples)

@@ -56,7 +56,6 @@ class PhysicalConfig:
     linewidth_hz: float = 6.065e6
     detuning_gamma: float = -6.85e4
     franck_condon: float = 5e-7
-    efficiency: float = 1.0
     atoms: int = 551
     register_sites: int = 501
     light_shift_doubled: bool = True
@@ -76,8 +75,6 @@ class PhysicalConfig:
                 raise ParameterError(f"{name} must be > 0")
         if self.trap_frequency_hz < 0:
             raise ParameterError("trap_frequency_hz must be >= 0")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ParameterError("efficiency must lie in [0, 1]")
         if not 0.0 < self.franck_condon < 1.0:
             raise ParameterError("franck_condon must lie in (0, 1)")
         if self.atoms < 1 or self.register_sites < 1:

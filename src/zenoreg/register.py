@@ -17,7 +17,9 @@ slots dropped (dimension 1 + 2(n-1)).
 
 With the trap offset eps(j) = delta j^2 and |T> defining the zero of
 energy, the pair-state energies are E(S_j^+/-) = U -/+ delta (2j+1); all
-energies here are in units of U (so U = 1).
+energies here are in units of U (so U = 1).  ``RestrictedBasis`` holds this
+layout and spectrum as arrays over the pair states, and every operator and
+state below is built from them.
 """
 
 from __future__ import annotations
@@ -68,10 +70,26 @@ class RestrictedBasis:
         half = (self.n - 1) // 2
         return np.arange(-half, half)
 
+    # Pair-state table, T+S order (per bond in ascending j: +, -).
+
     @cached_property
-    def sites(self) -> np.ndarray:
-        half = (self.n - 1) // 2
-        return np.arange(-half, half + 1)
+    def pair_j(self) -> np.ndarray:
+        """Bond label j of each pair state."""
+        return np.repeat(self.bonds, 2)
+
+    @cached_property
+    def pair_sign(self) -> np.ndarray:
+        """Orientation of each pair state: +1 for S_j^+, -1 for S_j^-."""
+        return np.tile([1, -1], self.n_bonds)
+
+    @cached_property
+    def s_slots(self) -> np.ndarray:
+        """Full-layout index of each pair state; its molecule sits at s_slots + 2."""
+        return 1 + 4 * np.repeat(np.arange(self.n_bonds), 2) + np.tile([0, 1], self.n_bonds)
+
+    def pair_energies(self, delta: float) -> np.ndarray:
+        """E(S_j^+-) of each pair state in units of U."""
+        return pair_state_energy(self.pair_j, self.pair_sign, 1.0, delta)
 
     index_t: int = field(default=0, init=False, repr=False)
 
@@ -92,20 +110,14 @@ class RestrictedBasis:
         """Index of |S_j^+-> in the T+S (eliminated) layout."""
         return 1 + 2 * self._bond_pos(j) + (0 if sign > 0 else 1)
 
-    def label(self, index: int) -> str:
-        if index == 0:
-            return "T"
-        pos, slot = divmod(index - 1, 4)
-        j = pos - (self.n - 1) // 2
-        return ("S%+d+" % j, "S%+d-" % j, "M%+d+" % j, "M%+d-" % j)[slot]
-
 
 def build_basis(n: int) -> RestrictedBasis:
     return RestrictedBasis(n)
 
 
-def pair_state_energy(j: int, sign: int, u: float, delta: float) -> float:
-    """Energy of |S_j^+-> relative to |T>: U -/+ delta (2j+1)."""
+def pair_state_energy(j, sign, u: float, delta: float):
+    """Energy of |S_j^+-> relative to |T>: U -/+ delta (2j+1); j and sign
+    may be arrays."""
     return u - sign * delta * (2 * j + 1)
 
 
@@ -124,11 +136,7 @@ class SparseOperator:
     hermitian: bool = False
 
     @classmethod
-    def from_triplets(cls, dim: int, triplets, hermitian: bool = False) -> "SparseOperator":
-        if triplets:
-            rows, cols, vals = zip(*triplets)
-        else:
-            rows, cols, vals = (), (), ()
+    def from_coo(cls, dim: int, rows, cols, vals, hermitian: bool = False) -> "SparseOperator":
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.complex128)
@@ -140,6 +148,11 @@ class SparseOperator:
         if hermitian and not op.is_hermitian():
             raise ModelError("operator marked hermitian is not")
         return op
+
+    @classmethod
+    def from_triplets(cls, dim: int, triplets, hermitian: bool = False) -> "SparseOperator":
+        rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+        return cls.from_coo(dim, rows, cols, vals, hermitian)
 
     @cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
@@ -160,11 +173,12 @@ class SparseOperator:
         return np.max(np.abs(diff.data)) <= tol
 
     def frequency_bound(self) -> float:
-        """max |diagonal| + max off-diagonal row sum; bounds the spectrum."""
-        diag = np.abs(self.matrix.diagonal())
-        absmat = scipy.sparse.csr_matrix(
-            (np.abs(self.vals), (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
+        """max |diagonal| + max off-diagonal row sum; bounds the spectrum.
+
+        Read from the CSR matrix, where duplicate entries are already summed.
+        """
+        absmat = abs(self.matrix)
+        diag = absmat.diagonal()
         row_sums = np.asarray(absmat.sum(axis=1)).ravel() - diag
         return float(diag.max(initial=0.0) + row_sums.max(initial=0.0))
 
@@ -200,21 +214,14 @@ class StateVector:
         """Project onto the T+S subspace (drops molecular amplitudes)."""
         if self.is_reduced:
             return self.copy()
-        idx = np.zeros(self.basis.reduced_dimension, dtype=np.int64)
-        for pos in range(self.basis.n_bonds):
-            idx[1 + 2 * pos] = 1 + 4 * pos
-            idx[2 + 2 * pos] = 2 + 4 * pos
-        return StateVector(self.basis, self.amplitudes[idx])
+        return StateVector(self.basis, self.amplitudes[np.r_[0, self.basis.s_slots]])
 
     def expanded(self) -> "StateVector":
         """Embed a T+S state into the full layout (zero molecular amplitudes)."""
         if not self.is_reduced:
             return self.copy()
         amps = np.zeros(self.basis.dimension, dtype=np.complex128)
-        amps[0] = self.amplitudes[0]
-        for pos in range(self.basis.n_bonds):
-            amps[1 + 4 * pos] = self.amplitudes[1 + 2 * pos]
-            amps[2 + 4 * pos] = self.amplitudes[2 + 2 * pos]
+        amps[np.r_[0, self.basis.s_slots]] = self.amplitudes
         return StateVector(self.basis, amps)
 
     def to_json(self) -> str:
@@ -236,22 +243,35 @@ def fidelity(psi: StateVector) -> float:
     return float(abs(psi.amplitudes[0]) ** 2 / norm)
 
 
-def _interaction_triplets(basis: RestrictedBasis, p: DerivedParams):
-    """Triplets of the rotating-frame Hamiltonian with molecular states kept."""
-    vc, j_hop, omega_m, delta = p.vc_over_u, p.j_over_u, p.omega_m_over_u, p.delta_over_u
-    triplets = [(0, 0, 0.0 + 0.0j)]
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            e_s = pair_state_energy(int(j), sign, 1.0, delta)
-            s = basis.s_index(int(j), sign)
-            m = basis.m_index(int(j), sign)
-            triplets.append((s, s, complex(vc + e_s)))
-            triplets.append((m, m, complex(vc + e_s - 1.0)))
-            triplets.append((0, s, complex(-math.sqrt(2.0) * j_hop)))
-            triplets.append((s, 0, complex(-math.sqrt(2.0) * j_hop)))
-            triplets.append((s, m, complex(omega_m / 2.0)))
-            triplets.append((m, s, complex(omega_m / 2.0)))
-    return triplets
+def _arrowhead(dim, slots, s_diag, j_hop, m_diag=None, omega_m=0.0, hermitian=True):
+    """Register operator with T at index 0: T row and column -sqrt(2) J to
+    every pair state at ``slots``, ``s_diag`` on the pair diagonal and, with
+    ``m_diag``, each molecule at slots + 2 coupled to its pair by Omega_M/2."""
+    t = np.zeros_like(slots)
+    hop = np.full(slots.size, -math.sqrt(2.0) * j_hop)
+    rows, cols, vals = [[0], slots, t, slots], [[0], slots, slots, t], [[0.0], s_diag, hop, hop]
+    if m_diag is not None:
+        m, half = slots + 2, np.full(slots.size, omega_m / 2.0)
+        rows += [m, slots, m]
+        cols += [m, m, slots]
+        vals += [m_diag, half, half]
+    return SparseOperator.from_coo(
+        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), hermitian
+    )
+
+
+def _molecular_hamiltonian(basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool):
+    """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal."""
+    s_diag = p.vc_over_u + basis.pair_energies(p.delta_over_u)
+    return _arrowhead(
+        basis.dimension,
+        basis.s_slots,
+        s_diag,
+        p.j_over_u,
+        m_diag=s_diag - 1.0 - 0.5j * loss,
+        omega_m=p.omega_m_over_u,
+        hermitian=hermitian,
+    )
 
 
 def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -261,9 +281,7 @@ def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> S
     Off-diagonal: -sqrt(2) J between T and each S, Omega_M/2 between each
     S and its M partner.
     """
-    return SparseOperator.from_triplets(
-        basis.dimension, _interaction_triplets(basis, p), hermitian=True
-    )
+    return _molecular_hamiltonian(basis, p, 0.0, hermitian=True)
 
 
 def build_effective_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -273,12 +291,7 @@ def build_effective_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> Spa
     molecular diagonal; norm loss under this operator is the accumulated
     decay probability.
     """
-    triplets = _interaction_triplets(basis, p)
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            m = basis.m_index(int(j), sign)
-            triplets.append((m, m, -0.5j * p.gamma_m_over_u))
-    return SparseOperator.from_triplets(basis.dimension, triplets, hermitian=False)
+    return _molecular_hamiltonian(basis, p, p.gamma_m_over_u, hermitian=False)
 
 
 def build_free_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -287,21 +300,15 @@ def build_free_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOp
     T and S states only: diagonal 0 and E(S_j^+-), couplings -sqrt(2) J;
     molecular rows are identically zero.
     """
-    j_hop, delta = p.j_over_u, p.delta_over_u
-    triplets = [(0, 0, 0.0 + 0.0j)]
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            s = basis.s_index(int(j), sign)
-            triplets.append((s, s, complex(pair_state_energy(int(j), sign, 1.0, delta))))
-            triplets.append((0, s, complex(-math.sqrt(2.0) * j_hop)))
-            triplets.append((s, 0, complex(-math.sqrt(2.0) * j_hop)))
-    return SparseOperator.from_triplets(basis.dimension, triplets, hermitian=True)
+    energies = basis.pair_energies(p.delta_over_u)
+    return _arrowhead(basis.dimension, basis.s_slots, energies, p.j_over_u)
 
 
-def coherence_damping_rate(j: int, sign: int, p: DerivedParams) -> float:
+def coherence_damping_rate(j, sign, p: DerivedParams):
     """Damping rate of the S_j^+- to T coherence after molecular elimination.
 
-    kappa_j = (Omega_M^2 gamma_M / 8) / ((|V_c| + E(S_j^+-) - U)^2 + (gamma_M/2)^2)
+    kappa_j = (Omega_M^2 gamma_M / 8) / ((|V_c| + E(S_j^+-) - U)^2 + (gamma_M/2)^2);
+    j and sign may be arrays.
     """
     e_s = pair_state_energy(j, sign, 1.0, p.delta_over_u)
     detuning = p.vc_over_u + e_s - 1.0
@@ -322,18 +329,11 @@ def build_eliminated_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> Sp
             f"(Omega_M/gamma_M = {p.omega_m_over_u / p.gamma_m_over_u:.3g} >= 0.1)",
             stacklevel=2,
         )
-    vc, j_hop, delta = p.vc_over_u, p.j_over_u, p.delta_over_u
-    triplets = [(0, 0, 0.0 + 0.0j)]
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            s = basis.reduced_s_index(int(j), sign)
-            e_s = pair_state_energy(int(j), sign, 1.0, delta)
-            kappa_j = coherence_damping_rate(int(j), sign, p)
-            triplets.append((s, s, complex(vc + e_s, -kappa_j)))
-            triplets.append((0, s, complex(-math.sqrt(2.0) * j_hop)))
-            triplets.append((s, 0, complex(-math.sqrt(2.0) * j_hop)))
+    s_diag = (p.vc_over_u + basis.pair_energies(p.delta_over_u)).astype(np.complex128)
+    s_diag.imag = -coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     hermitian = p.omega_m_over_u == 0.0 or p.gamma_m_over_u == 0.0
-    return SparseOperator.from_triplets(basis.reduced_dimension, triplets, hermitian=hermitian)
+    slots = np.arange(1, basis.reduced_dimension)
+    return _arrowhead(basis.reduced_dimension, slots, s_diag, p.j_over_u, hermitian=hermitian)
 
 
 def perturbative_ground_state(basis: RestrictedBasis, p: DerivedParams) -> StateVector:
@@ -343,16 +343,16 @@ def perturbative_ground_state(basis: RestrictedBasis, p: DerivedParams) -> State
     molecular amplitudes are zero.  Requires every pair-state energy to be
     positive, i.e. delta (2j+1) < U across the register.
     """
+    e_s = basis.pair_energies(p.delta_over_u)
+    bad = np.flatnonzero(e_s <= 0.0)
+    if bad.size:
+        i = bad[0]
+        raise ModelError(
+            f"pair-state energy E(S_{basis.pair_j[i]:+d}{'+' if basis.pair_sign[i] > 0 else '-'}) "
+            f"= {e_s[i]:.3g} U is not positive; perturbation theory invalid"
+        )
     amps = np.zeros(basis.dimension, dtype=np.complex128)
     amps[0] = 1.0
-    for j in basis.bonds:
-        for sign in (+1, -1):
-            e_s = pair_state_energy(int(j), sign, 1.0, p.delta_over_u)
-            if e_s <= 0.0:
-                raise ModelError(
-                    f"pair-state energy E(S_{int(j):+d}{'+' if sign > 0 else '-'}) = {e_s:.3g} U "
-                    "is not positive; perturbation theory invalid"
-                )
-            amps[basis.s_index(int(j), sign)] = math.sqrt(2.0) * p.j_over_u / e_s
+    amps[basis.s_slots] = math.sqrt(2.0) * p.j_over_u / e_s
     amps /= np.linalg.norm(amps)
     return StateVector(basis, amps)

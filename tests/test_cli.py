@@ -62,6 +62,14 @@ class TestParamsCommand:
         assert f"{line.split()[0]} must be finite" in result.output
         assert not (tmp_path / "r.json").exists()
 
+    def test_efficiency_key_rejected(self, runner, tmp_path):
+        # the detector efficiency is the --eta option of `zenoreg efficiency`
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("efficiency = 1.0\n")
+        result = runner.invoke(main, ["params", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert result.exit_code == 2
+        assert "'efficiency'" in result.output
+
     def test_strict_regime_violation(self, runner, tmp_path):
         # a shallow lattice boosts J: measurement too weak for the register
         cfg = tmp_path / "weak.cfg"
@@ -133,6 +141,34 @@ class TestIntegrationErrorExitCode:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["params"],
+            ["ground", "--n", "5"],
+            ["trajectory", "--n", "5", "--t-end", "0.1", "--model", "eliminated"],
+            ["ensemble", "--n", "5", "--traj", "10", "--t-end", "0.01"],
+            ["nonselective", "--n", "5", "--t-end", "20"],
+            ["efficiency", "--n", "5", "--t-end", "10"],
+            ["free", "--n", "5", "--t-end", "0.1"],
+            ["oracle", "--atoms", "3", "--t-end", "0.01/J"],
+            ["plot", "--in"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_exits_2_naming_path(self, runner, tmp_path, args):
+        if args[0] == "plot":
+            csv = tmp_path / "data.csv"
+            csv.write_text("t,a\n0,1\n1,2\n")
+            args = args + [str(csv)]
+        out = tmp_path / "missing" / "x"
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert str(out) in result.output
 
 
 class TestEnsembleCommand:

@@ -22,6 +22,7 @@ from zenoreg.dynamics import (
     reduced_master_equation,
     zeno_decay_rate,
     _rme_generator,
+    _schrodinger,
 )
 from zenoreg.register import (
     SparseOperator,
@@ -375,6 +376,17 @@ class TestKernelProperties:
         dt = 0.01 / (op.frequency_bound() or 1.0)
         series = evolve(op, psi0, t_end=steps * dt, dt=dt)
         assert np.max(np.abs(series.norm_sq - 1.0)) < 1e-8
+
+    @settings(max_examples=40)
+    @given(problem=arrowheads(damped=False), steps=st.integers(1, 2000))
+    def test_hermitian_energy_conserved(self, problem, steps):
+        # each mode's energy w |c|^2 drifts like its norm, by (h w)^6 / 72 a step
+        op, psi = problem
+        bound = op.frequency_bound() or 1.0
+        dt = 0.01 / bound
+        _, samples = _schrodinger(op, psi, steps * dt, dt, 11)
+        energy = np.array([np.vdot(y, op.matvec(y)).real for y in samples])
+        assert np.max(np.abs(energy - energy[0])) < 1e-8 * bound
 
     @settings(max_examples=20)
     @given(

@@ -235,7 +235,7 @@ class TestConfigParsing:
         with pytest.raises(ParameterError, match="line 2"):
             parse_config_text("atoms = 551\nnonsense\n")
 
-    @pytest.mark.parametrize("key", ["wavelength_m", "trap_frequency_hz", "detuning_gamma", "efficiency"])
+    @pytest.mark.parametrize("key", ["wavelength_m", "trap_frequency_hz", "detuning_gamma"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_rejected_with_key(self, key, value):
         with pytest.raises(ParameterError, match=f"{key} must be finite"):
@@ -246,7 +246,5 @@ class TestConfigParsing:
             PhysicalConfig(register_sites=500)  # even
         with pytest.raises(ParameterError):
             PhysicalConfig(atoms=400, register_sites=501)  # n > N
-        with pytest.raises(ParameterError):
-            PhysicalConfig(efficiency=1.5)
         with pytest.raises(ParameterError):
             PhysicalConfig(franck_condon=0.0)

@@ -51,6 +51,16 @@ class TestBasis:
                 reduced.add(b.reduced_s_index(int(j), sign))
         assert reduced == set(range(b.reduced_dimension))
 
+    def test_pair_table_matches_scalar_indices(self):
+        b = build_basis(7)
+        energies = b.pair_energies(0.01)
+        for k, (j, sign) in enumerate(zip(b.pair_j.tolist(), b.pair_sign.tolist())):
+            assert b.reduced_s_index(j, sign) == k + 1
+            assert b.s_slots[k] == b.s_index(j, sign)
+            assert b.s_slots[k] + 2 == b.m_index(j, sign)
+            assert energies[k] == pair_state_energy(j, sign, 1.0, 0.01)
+        assert b.pair_j.size == b.reduced_dimension - 1
+
     def test_bond_out_of_range(self):
         with pytest.raises(ModelError):
             build_basis(5).s_index(2, +1)
@@ -288,6 +298,21 @@ class TestStateVector:
         assert red.norm_sq() == pytest.approx(psi.norm_sq(), rel=1e-14)
         assert fidelity(red) == pytest.approx(fidelity(psi), rel=1e-14)
 
+    def test_reduced_and_expanded_follow_slots(self):
+        b = build_basis(7)
+        rng = np.random.default_rng(0)
+        full = StateVector(b, rng.standard_normal(b.dimension) + 1j * rng.standard_normal(b.dimension))
+        red = StateVector(
+            b, rng.standard_normal(b.reduced_dimension) + 1j * rng.standard_normal(b.reduced_dimension)
+        )
+        projected, embedded = full.reduced().amplitudes, red.expanded().amplitudes
+        assert projected[0] == full.amplitudes[0] and embedded[0] == red.amplitudes[0]
+        for j in b.bonds.tolist():
+            for sign in (+1, -1):
+                assert projected[b.reduced_s_index(j, sign)] == full.amplitudes[b.s_index(j, sign)]
+                assert embedded[b.s_index(j, sign)] == red.amplitudes[b.reduced_s_index(j, sign)]
+                assert embedded[b.m_index(j, sign)] == 0
+
     def test_nonfinite_rejected(self):
         b = build_basis(3)
         amps = np.zeros(b.dimension, dtype=complex)
@@ -310,3 +335,9 @@ class TestSparseOperator:
             2, [(0, 0, 3.0 + 0j), (0, 1, 1.0 + 0j), (1, 0, 1.0 + 0j)], hermitian=True
         )
         assert op.frequency_bound() == pytest.approx(4.0)
+
+    def test_frequency_bound_sums_duplicate_entries(self):
+        rest = [(0, 1, 1.0 + 0j), (1, 0, 1.0 + 0j)]
+        split = SparseOperator.from_triplets(2, [(0, 0, 3.0 + 0j), (0, 0, -1j)] + rest)
+        merged = SparseOperator.from_triplets(2, [(0, 0, 3.0 - 1j)] + rest)
+        assert split.frequency_bound() == merged.frequency_bound()
