@@ -64,6 +64,8 @@ def _resolve(config, n, u_over_j, strict):
         cfg = replace(cfg, register_sites=n)
     p = derive_params(cfg)
     if u_over_j is not None:
+        if not (math.isfinite(u_over_j) and u_over_j > 0):
+            raise ParameterError(f"--u-over-j must be finite and > 0, got {u_over_j:g}")
         p = replace(p, j_over_u=1.0 / u_over_j)
     report = regime_check(p, cfg.register_sites, cfg.atoms, cfg.hole_probability_threshold)
     if not report.all_ok:
@@ -278,12 +280,12 @@ def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out)
 @click.option("--t-end", default="100", show_default=True)
 @out_option("zenoreg_nonselective")
 def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
-    """Nonselective decay: master equation vs Bloch system vs closed form."""
+    """Nonselective decay: master equation (step --dt) vs exact Bloch system vs closed form."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
     n_reg = cfg.register_sites
     t_end = _parse_t_end(t_end, p)
     rme = reduced_master_equation(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
-    bloch = bloch_evolution(p, n_reg, t_end=t_end, dt=dt, max_samples=2001)
+    bloch = bloch_evolution(p, n_reg, t_end=t_end, max_samples=2001)
     rho0 = rme.rho_tt[0]
     closed = nonselective_fidelity_closed(p, n_reg, rho0, rme.t)
     # the Bloch reduction starts from a pure target state; rescale to rho0
@@ -379,22 +381,21 @@ def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_en
     """Exact Bose-Hubbard evolution vs truncations and the closed form."""
     cfg, p, _ = _resolve(config, None, u_over_j, strict)
     delta = delta_over_u if delta_over_u is not None else p.delta_over_u
+    if not math.isfinite(delta):
+        raise ParameterError(f"--delta-over-u must be finite, got {delta:g}")
     t_end = _parse_t_end(t_end, p)
     basis = fock_basis(atoms, atoms, boundary)
     exact = exact_evolve_fidelity(basis, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
-    closed = free_evolution_fidelity(atoms - 1, p.j_over_u, 1.0, delta, exact.t)
-    header = ["t_over_u", "f_exact", "f_closed"]
-    columns = [exact.t, exact.fidelity, np.asarray(closed)]
+    name, tcol = _time_column(exact.t, p, hz)
+    header, columns = [name, "f_exact"], [tcol, exact.fidelity]
     extra = {"basis_dim": basis.dimension}
     if atoms % 2 == 1:
         docc = double_occupancy_evolve(atoms, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
-        docc_f = np.interp(exact.t, docc.t, docc.fidelity)
-        header.insert(2, "f_docc")
-        columns.insert(2, docc_f)
+        header.append("f_docc")
+        columns.append(docc.fidelity)
         extra["docc_basis_dim"] = atoms * (atoms - 1) + 1
-    name, tcol = _time_column(exact.t, p, hz)
-    header[0] = name
-    columns[0] = tcol
+    header.append("f_closed")
+    columns.append(np.asarray(free_evolution_fidelity(atoms - 1, p.j_over_u, 1.0, delta, exact.t)))
     manifest = _manifest(
         "oracle", cfg, p, atoms=atoms, boundary=boundary, delta_over_u=delta, t_end=t_end, dt=dt
     )

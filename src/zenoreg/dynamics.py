@@ -24,15 +24,15 @@ the symmetric pair mode is g = sqrt(2 * 2(n-1)) J = 2 sqrt(n-1) J, and the
 closed-form exponent uses the bond-pair count n-1; with these counts the
 integrated Bloch system and the closed form agree exactly.
 
-Every level is a linear system dy/dt = G y with a constant generator G,
-and every one is integrated by the same fixed-step RK4 kernel, ``_rk4``:
-G = -i H for the wavefunction and the exact oracle, the real generator of
-``_rme_generator`` for the master equation, and the 4x4 Bloch matrix, whose
-one-step matrix the kernel builds and whose sample gaps are its matrix
-power.  ``_plan_grid`` is the one place a step is checked and the output
-grid laid out.  The full model is stiff (gamma_M/U is a few thousand), so
-its default step is 0.02/gamma_M, while the eliminated model and the master
-equation resolve the fastest coherence rotation with 0.01/(U+|V_c|).
+Every level is a linear system dy/dt = G y with a constant generator G, and
+every one returns the same grid, linspace(0, t_end, max_samples), laid out
+by ``_plan_grid``, the one place a step is checked.  The fixed-step RK4
+kernel ``_rk4`` integrates G = -i H for the wavefunction and the exact
+oracle and the real generator of ``_rme_generator`` for the master
+equation; the 4x4 Bloch system is exact, one matrix exponential a gap.
+The full model is stiff (gamma_M/U is a few thousand), so its default step
+is 0.02/gamma_M, while the eliminated model and the master equation
+resolve the fastest coherence rotation with 0.01/(U+|V_c|).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .params import DerivedParams
@@ -77,9 +78,10 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
     """Step count, sample stride, step and uniform output grid.
 
     Refuses non-finite or non-positive times and a step above ``max_step``.
-    The grid has at most ``max_samples`` points; the step count is rounded
-    up to a multiple of the sample stride, and dt shrinks accordingly, so
-    the grid always lands exactly on t_end.
+    The grid is linspace(0, t_end, max_samples), with ``max_samples``
+    clamped to 2..MAX_OUTPUT_SAMPLES, and depends on nothing else.  The
+    step count is rounded up to a whole number of steps a gap, at least
+    one, and dt shrinks to match, so every sample lands on a step.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)) or t_end <= 0 or dt <= 0:
         raise IntegrationError(
@@ -87,10 +89,8 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
         )
     if dt > max_step * (1.0 + 1e-12):
         raise IntegrationError(f"dt = {dt:.6g} too large; require dt <= {max_step:.6g}")
-    max_samples = max(2, min(max_samples, MAX_OUTPUT_SAMPLES))
-    n_steps = max(1, math.ceil(t_end / dt))
-    n_gaps = min(max_samples - 1, n_steps)
-    stride = math.ceil(n_steps / n_gaps)
+    n_gaps = max(2, min(max_samples, MAX_OUTPUT_SAMPLES)) - 1
+    stride = max(1, math.ceil(math.ceil(t_end / dt) / n_gaps))
     n_steps = stride * n_gaps
     return n_steps, stride, t_end / n_steps, np.linspace(0.0, t_end, n_gaps + 1)
 
@@ -100,8 +100,6 @@ def _rk4(gen, y, h: float, n_gaps: int, stride: int):
 
     ``gen`` is scaled by ``h`` once; ``y`` is advanced in place and yielded
     at the start and after every ``stride`` steps, n_gaps + 1 times in all.
-    ``y`` may be a matrix of columns: one step applied to the identity is
-    the step matrix, the quartic polynomial in h gen.
     """
     a = gen * h
     tmp = np.empty_like(y)
@@ -184,7 +182,8 @@ def evolve(
     fidelity is the conditioned target population |psi_T|^2/||psi||^2; T is
     index 0 of both the full and the eliminated layout.  The step must
     satisfy dt <= 0.05 / (max |diag| + max off-diagonal row sum); too-large
-    steps are refused with the required bound in the message.
+    steps are refused with the required bound in the message.  The output
+    grid is linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
     if amps0.shape[0] != op.dim:
@@ -518,10 +517,9 @@ def bloch_evolution(
     n: int,
     b0: BlochState = PURE_TARGET_BLOCH,
     t_end: float = 10.0,
-    dt: float | None = None,
     max_samples: int = MAX_OUTPUT_SAMPLES,
 ) -> BlochSeries:
-    """Integrate the pseudo two-state Bloch system.
+    """Propagate the pseudo two-state Bloch system exactly.
 
         du/dt = (U+|V_c|) v - kappa u
         dv/dt = -kappa v - (U+|V_c|) u - g w
@@ -529,15 +527,15 @@ def bloch_evolution(
         dx/dt = -kappa (x+w)
 
     with g the collective coupling (see ``collective_coupling``).  The
-    system is linear and time invariant, so the fixed-step RK4 update is a
-    constant 4x4 matrix; sample gaps apply its matrix power.
+    system is linear and time invariant, so one sample gap is the matrix
+    exponential of the generator times the gap, applied once per gap.  The
+    grid is that of every other level, linspace(0, t_end, max_samples).
     """
     omega0 = 1.0 + p.vc_over_u
     kappa = p.kappa_over_u
     g = collective_coupling(p, n)
-    if dt is None:
-        dt = 0.01 / (omega0 + kappa + 4.0 * g)
-    _, stride, h, t = _plan_grid(t_end, dt, 0.05 / (omega0 + kappa + 4.0 * g), max_samples)
+    # a step of t_end asks for fewer steps than gaps, so the step is the gap
+    _, _, gap, t = _plan_grid(t_end, t_end, math.inf, max_samples)
 
     gen = np.array(
         [
@@ -547,15 +545,12 @@ def bloch_evolution(
             [0.0, 0.0, -kappa, -kappa],
         ]
     )
-    *_, step = _rk4(gen, np.eye(4), h, 1, 1)  # one RK4 step applied to the identity
-    gap = np.linalg.matrix_power(step, stride)
+    step = scipy.linalg.expm(gen * gap)
 
-    y = np.array([b0.u, b0.v, b0.w, b0.x], dtype=np.float64)
     out = np.empty((t.size, 4))
-    out[0] = y
+    out[0] = [b0.u, b0.v, b0.w, b0.x]
     for i in range(1, t.size):
-        y = gap @ y
-        out[i] = y
+        out[i] = step @ out[i - 1]
     return BlochSeries(t=t, u=out[:, 0], v=out[:, 1], w=out[:, 2], x=out[:, 3])
 
 

@@ -5,6 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from zenoreg.cli import main
+from zenoreg.oracle import double_occupancy_evolve
+from zenoreg.params import derive_params, reference_config
+from zenoreg.runio import format_number
 from zenoreg.svg import SvgError, emit_svg
 
 
@@ -134,6 +137,12 @@ class TestIntegrationErrorExitCode:
             (["free", "--n", "5", "--dt", "nan"], "t_end and dt must be positive"),
             (["efficiency", "--n", "5", "--t-end", "nan"], "t-end must be finite"),
             (["efficiency", "--n", "5", "--t-end", "-3"], "t-end must be positive"),
+            (["params", "--u-over-j", "0"], "--u-over-j must be finite and > 0"),
+            (["free", "--n", "5", "--u-over-j", "0"], "--u-over-j must be finite and > 0"),
+            (["params", "--u-over-j", "nan"], "--u-over-j must be finite and > 0"),
+            (["params", "--u-over-j", "-500"], "--u-over-j must be finite and > 0"),
+            (["oracle", "--atoms", "3", "--delta-over-u", "nan"], "--delta-over-u must be finite"),
+            (["oracle", "--atoms", "3", "--delta-over-u", "inf"], "--delta-over-u must be finite"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):
@@ -218,6 +227,16 @@ class TestFreeAndOracleCommands:
         assert sidecar["basis_dim"] == 10
         assert sidecar["docc_basis_dim"] == 7
 
+    def test_oracle_docc_column_not_interpolated(self, runner, tmp_path):
+        out = tmp_path / "oracle"
+        result = runner.invoke(main, ["oracle", "--atoms", "3", "--t-end", "0.01/J", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        p = derive_params(reference_config())
+        docc = double_occupancy_evolve(3, p.j_over_u, 1.0, p.delta_over_u, 0.01 / p.j_over_u, max_samples=2001)
+        rows = [line.split(",") for line in open(f"{out}.csv").read().splitlines()]
+        assert rows[0][2] == "f_docc"
+        assert [row[2] for row in rows[1:]] == [format_number(f) for f in docc.fidelity]
+
 
 class TestEfficiencyCommand:
     def test_ordered_plateaus(self, runner, tmp_path):
@@ -232,13 +251,16 @@ class TestEfficiencyCommand:
 
 
 class TestNonselectiveCommand:
-    def test_consistency_columns(self, runner, tmp_path):
+    # below about 1.2/U every level takes fewer steps than the 2000 gaps
+    @pytest.mark.parametrize("n, t_end", [(21, "20"), (5, "0.5"), (5, "1"), (21, "1")])
+    def test_consistency_columns(self, runner, tmp_path, n, t_end):
         out = tmp_path / "ns"
         result = runner.invoke(
-            main, ["nonselective", "--n", "21", "--t-end", "20", "--out", str(out)]
+            main, ["nonselective", "--n", str(n), "--t-end", t_end, "--out", str(out)]
         )
         assert result.exit_code == 0, result.output
         data = np.loadtxt(f"{out}.csv", delimiter=",", skiprows=1)
+        assert data.shape == (2001, 5)
         # master equation, Bloch reduction and closed form agree at this scale
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-3
         assert np.max(np.abs(data[:, 1] - data[:, 3])) < 1e-3

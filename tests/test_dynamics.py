@@ -90,6 +90,11 @@ class TestEvolve:
         e_0 = float(np.vdot(psi_0, h.matvec(psi_0)).real)
         assert abs(e_t - e_0) < 1e-8 * h.frequency_bound()
 
+    def test_short_run_fills_the_grid(self):
+        # two steps of 0.05 cover t_end; the step shrinks to give every sample
+        series = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=0.1, dt=0.05, max_samples=11)
+        assert np.array_equal(series.t, np.linspace(0.0, 0.1, 11))
+
     def test_output_grid_capped(self):
         series = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, dt=1e-5, max_samples=100)
         assert series.t.size == 100
@@ -127,6 +132,25 @@ class TestNullTrajectory:
         assert small.final_state.amplitudes.shape[0] == build_basis(5).dimension
         large = null_trajectory(reference_params, 81, t_end=0.05, model="auto", max_samples=11)
         assert large.final_state.amplitudes.shape[0] == build_basis(81).reduced_dimension
+
+
+class TestOneGrid:
+    # at 101 samples every level but the full model takes fewer steps than gaps
+    @pytest.mark.parametrize("max_samples", [11, 101])
+    def test_every_level_returns_the_same_grid(self, reference_params, max_samples):
+        t_end = 0.01
+        grid = np.linspace(0.0, t_end, max_samples)
+        kwargs = dict(t_end=t_end, max_samples=max_samples)
+        p = reference_params
+        levels = {
+            "full": null_trajectory(p, 5, model="full", **kwargs),
+            "eliminated": null_trajectory(p, 5, model="eliminated", **kwargs),
+            "ensemble": jump_ensemble(p, 5, n_traj=16, seed=1, **kwargs),
+            "master": reduced_master_equation(p, 5, **kwargs),
+            "bloch": bloch_evolution(p, 5, **kwargs),
+        }
+        for name, series in levels.items():
+            assert np.array_equal(series.t, grid), name
 
 
 class TestJumpEnsemble:
@@ -254,9 +278,20 @@ class TestBlochSystem:
         rel = np.abs(series.rho_tt[mask] - closed[mask]) / closed[mask]
         assert rel.max() < 0.01
 
-    def test_step_refused_with_bound(self):
-        with pytest.raises(IntegrationError, match="require dt <="):
-            bloch_evolution(measurement_test_params(), 5, t_end=1.0, dt=1.0)
+    def test_damped_precession_exact(self):
+        p = replace(measurement_test_params(), j_over_u=0.0)
+        series = bloch_evolution(
+            p, 5, b0=BlochState(1.0, 0.0, 0.0, 1.0), t_end=2.0, max_samples=201
+        )
+        omega0, kappa = 1.0 + p.vc_over_u, p.kappa_over_u
+        damping = np.exp(-kappa * series.t)
+        assert np.max(np.abs(series.u - damping * np.cos(omega0 * series.t))) < 1e-12
+        assert np.max(np.abs(series.v + damping * np.sin(omega0 * series.t))) < 1e-12
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_time_refused(self, t_end):
+        with pytest.raises(IntegrationError, match="t_end"):
+            bloch_evolution(measurement_test_params(), 5, t_end=t_end)
 
     def test_collective_coupling_matches_register(self, reference_params):
         # same matrix element the restricted model exhibits between |T> and
