@@ -66,7 +66,10 @@ def _resolve(config, n, u_over_j, strict):
     if u_over_j is not None:
         if not (math.isfinite(u_over_j) and u_over_j > 0):
             raise ParameterError(f"--u-over-j must be finite and > 0, got {u_over_j:g}")
-        p = replace(p, j_over_u=1.0 / u_over_j)
+        j_over_u = 1.0 / u_over_j
+        if not math.isfinite(j_over_u * j_over_u):
+            raise ParameterError(f"--u-over-j = {u_over_j:g} is too small: (J/U)^2 overflows")
+        p = replace(p, j_over_u=j_over_u)
     report = regime_check(p, cfg.register_sites, cfg.atoms, cfg.hole_probability_threshold)
     if not report.all_ok:
         message = (
@@ -125,7 +128,9 @@ n_option = click.option("--n", type=int, default=None, help="register size (odd)
 uoj_option = click.option("--u-over-j", type=float, default=None, help="override the U/J ratio")
 strict_option = click.option("--strict", is_flag=True, help="fail on regime violations")
 hz_option = click.option("--hz", is_flag=True, help="report times in seconds instead of 1/U")
-dt_option = click.option("--dt", type=float, default=None, help="integrator step (units of 1/U)")
+dt_option = click.option(
+    "--dt", type=float, default=None, help="RK4 step (units of 1/U); pins RK4, else an exact backend may run"
+)
 
 
 def out_option(default):
@@ -226,7 +231,7 @@ def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
         manifest,
         [name, "fidelity", "norm_sq"],
         [tcol, series.fidelity, series.norm_sq],
-        extra={"t_sat_over_u": series.t_sat},
+        extra={"t_sat_over_u": series.t_sat, "diagnostics": series.diagnostics()},
     )
     click.echo(f"t_sat = {series.t_sat:.4g}/U, final F = {series.fidelity[-1]:.6g}")
 
@@ -363,6 +368,7 @@ def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
         manifest,
         [name, "f_closed", "f_numeric"],
         [tcol, np.asarray(closed), series.fidelity],
+        extra={"diagnostics": series.diagnostics()},
     )
 
 
@@ -388,12 +394,13 @@ def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_en
     exact = exact_evolve_fidelity(basis, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
     name, tcol = _time_column(exact.t, p, hz)
     header, columns = [name, "f_exact"], [tcol, exact.fidelity]
-    extra = {"basis_dim": basis.dimension}
+    extra = {"basis_dim": basis.dimension, "diagnostics": {"f_exact": exact.diagnostics()}}
     if atoms % 2 == 1:
         docc = double_occupancy_evolve(atoms, p.j_over_u, 1.0, delta, t_end, dt=dt, max_samples=2001)
         header.append("f_docc")
         columns.append(docc.fidelity)
         extra["docc_basis_dim"] = atoms * (atoms - 1) + 1
+        extra["diagnostics"]["f_docc"] = docc.diagnostics()
     header.append("f_closed")
     columns.append(np.asarray(free_evolution_fidelity(atoms - 1, p.j_over_u, 1.0, delta, exact.t)))
     manifest = _manifest(

@@ -27,9 +27,12 @@ integrated Bloch system and the closed form agree exactly.
 Every level is a linear system dy/dt = G y with a constant generator G, and
 every one returns the same grid, linspace(0, t_end, max_samples), laid out
 by ``_plan_grid``, the one place a step is checked.  The fixed-step RK4
-kernel ``_rk4`` integrates G = -i H for the wavefunction and the exact
-oracle and the real generator of ``_rme_generator`` for the master
-equation; the 4x4 Bloch system is exact, one matrix exponential a gap.
+kernel ``_rk4`` integrates the real generator of ``_rme_generator`` for the
+master equation, the jump ensemble's norm curve, and G = -i H for the
+wavefunction and the exact oracle whenever a step is given.  Without one,
+``_schrodinger`` may instead diagonalise H once and rebuild the samples
+exactly (``_spectral``), when a cost model predicts that to be clearly
+cheaper; the 4x4 Bloch system is exact, one matrix exponential a gap.
 The full model is stiff (gamma_M/U is a few thousand), so its default step
 is 0.02/gamma_M, while the eliminated model and the master equation
 resolve the fastest coherence rotation with 0.01/(U+|V_c|).
@@ -38,6 +41,7 @@ resolve the fastest coherence rotation with 0.01/(U+|V_c|).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +62,30 @@ from .register import (
 
 MAX_OUTPUT_SAMPLES = 5000
 NORM_MONOTONE_TOL = 1e-9
+
+# Largest operator diagonalised densely, here and by the oracle's ground-state
+# solver: a 2048^2 complex matrix is 64 MiB, and the spectral backend holds
+# about four of them (H, V, V^-1 and LAPACK's workspace).
+DENSE_EIG_CUTOFF = 2048
+# Samples rebuilt per matrix product; a block is SPECTRAL_BLOCK x dim complex.
+SPECTRAL_BLOCK = 256
+# Rebuilding psi(t) = V (a * exp(lam t)) rounds with a relative error of
+# about cond(V) eps.  The spectral samples are used only while that is below
+# NORM_MONOTONE_TOL, the norm rise ``null_trajectory`` treats as a fault.
+COND_V_LIMIT = NORM_MONOTONE_TOL / np.finfo(np.float64).eps
+# Cost model of one Schrödinger run, in seconds (see ``_spectral_is_cheaper``),
+# fitted on a 2-vCPU x86-64 box with numpy's OpenBLAS: an RK4 step took
+# 26-41 us at dim 9 and 69-95 us at dim 1001 (nnz 3001); eigh took 0.6-0.8 s
+# at dim 1001 and 3.9-5.7 s at 2001; eig plus V^-1 took 2.4-3.2 s at dim
+# 1001; the rebuild took 0.26 s for 2001 samples at dim 1001.
+RK4_STEP_S = 3e-5
+RK4_NNZ_S = 1e-8
+EIGH_S = 7e-10
+EIG_S = 3e-9
+REBUILD_S = 1.2e-10
+# Spectral must be predicted this many times cheaper than RK4, so a run the
+# model calls close keeps the RK4 reference.
+SPECTRAL_MARGIN = 2.0
 
 
 class IntegrationError(RuntimeError):
@@ -130,16 +158,103 @@ def _max_step(op: SparseOperator) -> float:
     return 0.05 / freq if freq > 0 else math.inf
 
 
-def _schrodinger(op: SparseOperator, psi: np.ndarray, t_end: float, dt: float | None, max_samples: int):
-    """Output grid and sample iterator of i dpsi/dt = H psi, advancing ``psi``.
+def _spectral_is_cheaper(op: SparseOperator, n_steps: int, n_samples: int) -> bool:
+    """Cost model: spectral is chosen when predicted SPECTRAL_MARGIN times
+    cheaper than RK4 and the operator fits DENSE_EIG_CUTOFF.
 
-    ``dt`` defaults to the largest accepted step (t_end for a zero operator).
+    RK4 costs n_steps (RK4_STEP_S + RK4_NNZ_S nnz); spectral costs one dense
+    diagonalisation, EIGH_S d^3 or EIG_S d^3, plus REBUILD_S d^2 a sample.
+    """
+    d = op.dim
+    if d > DENSE_EIG_CUTOFF:
+        return False
+    rk4_s = n_steps * (RK4_STEP_S + RK4_NNZ_S * op.matrix.nnz)
+    spectral_s = (EIGH_S if op.hermitian else EIG_S) * d**3 + REBUILD_S * n_samples * d**2
+    return SPECTRAL_MARGIN * spectral_s < rk4_s
+
+
+def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, psi: np.ndarray):
+    """Yield psi(t_k) = vecs (coef * exp(lam t_k)) for every t_k, written into
+    ``psi``, SPECTRAL_BLOCK samples per matrix product."""
+    for start in range(0, t.size, SPECTRAL_BLOCK):
+        phases = np.outer(t[start : start + SPECTRAL_BLOCK], lam)
+        np.exp(phases, out=phases)
+        phases *= coef
+        for row in phases @ vecs.T:
+            psi[:] = row
+            yield psi
+
+
+@dataclass
+class Propagation:
+    """Samples of one Schrödinger run and the backend that produced them.
+
+    Iterating yields the state buffer at every grid point.  ``backend`` is
+    "rk4", "eigh" (Hermitian H) or "eig"; ``cond_v`` is the 1-norm condition
+    number of the eigenvector matrix when "eig" ran, None otherwise.
+    """
+
+    samples: Iterator[np.ndarray]
+    backend: str = "rk4"
+    cond_v: float | None = None
+
+    def __iter__(self):
+        return self.samples
+
+
+def _spectral(op: SparseOperator, psi: np.ndarray, t: np.ndarray) -> Propagation | None:
+    """Exact samples of i dpsi/dt = H psi from one dense diagonalisation.
+
+    H = V diag(w) V^-1 gives psi(t) = V (a * exp(-i w t)) with a = V^-1 psi(0);
+    ``eigh`` runs, with V unitary, only when ``op`` is marked Hermitian
+    (``SparseOperator.from_coo`` verifies the mark); any other operator takes
+    ``eig``, however small its anti-Hermitian part, since over a long run
+    that part still matters.
+    Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
+    to RK4.
+    """
+    # numpy's LAPACK, so one OpenBLAS serves these and the rebuild's products
+    # (scipy links a second copy with its own thread pool)
+    if op.hermitian:
+        w, vecs = np.linalg.eigh(op.to_dense())
+        return Propagation(_rebuild(vecs, vecs.conj().T @ psi, -1j * w, t, psi), "eigh")
+    w, vecs = np.linalg.eig(op.to_dense())
+    try:
+        inv = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:  # exactly defective H
+        return None
+    cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
+    if not cond_v <= COND_V_LIMIT:
+        return None
+    return Propagation(_rebuild(vecs, inv @ psi, -1j * w, t, psi), "eig", cond_v)
+
+
+def _schrodinger(
+    op: SparseOperator,
+    psi: np.ndarray,
+    t_end: float,
+    dt: float | None,
+    max_samples: int,
+    default_dt: float | None = None,
+):
+    """Output grid and sample propagation of i dpsi/dt = H psi, advancing ``psi``.
+
+    A given ``dt`` selects RK4, the reference.  Without it the run is RK4 at
+    ``default_dt`` (the largest accepted step if None; t_end for a zero
+    operator) unless ``_spectral_is_cheaper`` picks the exact backend and
+    cond(V) allows it.  Either way the step is checked by ``_plan_grid`` and
+    the samples land on the same grid.
     """
     max_step = _max_step(op)
-    if dt is None:
-        dt = max_step if math.isfinite(max_step) else t_end
-    _, stride, h, t = _plan_grid(t_end, dt, max_step, max_samples)
-    return t, _rk4(op.matrix * -1j, psi, h, t.size - 1, stride)
+    step = dt if dt is not None else default_dt
+    if step is None:
+        step = max_step if math.isfinite(max_step) else t_end
+    n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
+    if dt is None and _spectral_is_cheaper(op, n_steps, t.size):
+        spectral = _spectral(op, psi, t)
+        if spectral is not None:
+            return t, spectral
+    return t, Propagation(_rk4(op.matrix * -1j, psi, h, t.size - 1, stride))
 
 
 def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
@@ -153,6 +268,8 @@ class TrajectorySeries:
 
     ``energy`` carries the sampled expectation <psi|H|psi>/<psi|psi> where
     the producer tracks it (Hermitian oracle runs); None otherwise.
+    ``backend`` and ``cond_v`` say how the samples were propagated (see
+    ``Propagation``).
     """
 
     t: np.ndarray
@@ -161,6 +278,12 @@ class TrajectorySeries:
     t_sat: float | None = None
     final_state: StateVector | None = None
     energy: np.ndarray | None = None
+    backend: str = "rk4"
+    cond_v: float | None = None
+
+    def diagnostics(self) -> dict:
+        """Propagation backend and cond(V), for a run's sidecar."""
+        return {"backend": self.backend, "cond_v": self.cond_v}
 
     def saturation_time(self, level: float = 0.999) -> float | None:
         """First time with F >= level * F(t_end)."""
@@ -175,29 +298,39 @@ def evolve(
     t_end: float,
     dt: float | None = None,
     max_samples: int = MAX_OUTPUT_SAMPLES,
+    default_dt: float | None = None,
 ) -> TrajectorySeries:
-    """Fixed-step RK4 integration of i dpsi/dt = H psi.
+    """Integrate i dpsi/dt = H psi from ``psi0``.
 
     ``psi0`` may be a StateVector or a bare amplitude array.  The reported
     fidelity is the conditioned target population |psi_T|^2/||psi||^2; T is
-    index 0 of both the full and the eliminated layout.  The step must
-    satisfy dt <= 0.05 / (max |diag| + max off-diagonal row sum); too-large
-    steps are refused with the required bound in the message.  The output
+    index 0 of both the full and the eliminated layout.  A given ``dt``
+    pins fixed-step RK4, the reference; the step must satisfy
+    dt <= 0.05 / (max |diag| + max off-diagonal row sum), and too-large
+    steps are refused with the required bound in the message.  Without
+    ``dt`` the run is RK4 at ``default_dt`` (default: that bound) or, when
+    predicted clearly cheaper, exact propagation by one dense
+    diagonalisation; ``backend`` on the result says which ran.  The output
     grid is linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
     if amps0.shape[0] != op.dim:
         raise IntegrationError("state and operator dimensions differ")
     psi = amps0.astype(np.complex128, copy=True)
-    t, samples = _schrodinger(op, psi, t_end, dt, max_samples)
+    t, run = _schrodinger(op, psi, t_end, dt, max_samples, default_dt)
     norm = np.empty(t.size)
     c_t = np.empty(t.size, dtype=np.complex128)
-    for i, y in enumerate(samples):
+    for i, y in enumerate(run):
         norm[i] = np.vdot(y, y).real
         c_t[i] = y[0]
     final = StateVector(psi0.basis, psi) if isinstance(psi0, StateVector) else None
     return TrajectorySeries(
-        t=t, fidelity=_conditioned_population(c_t, norm), norm_sq=norm, final_state=final
+        t=t,
+        fidelity=_conditioned_population(c_t, norm),
+        norm_sq=norm,
+        final_state=final,
+        backend=run.backend,
+        cond_v=run.cond_v,
     )
 
 
@@ -209,8 +342,9 @@ def _resolve_model(model: str | None, n: int) -> str:
     raise ValueError(f"unknown model {model!r}")
 
 
-def _conditioned_problem(p: DerivedParams, n: int, model: str | None, dt: float | None):
-    """Model name, generator, initial state and step of the conditioned dynamics.
+def _conditioned_problem(p: DerivedParams, n: int, model: str | None):
+    """Model name, generator, initial state and default RK4 step of the
+    conditioned dynamics.
 
     The register starts in the perturbative ground state; the full model
     keeps the molecular states, the eliminated one evolves the T+S layout.
@@ -219,10 +353,9 @@ def _conditioned_problem(p: DerivedParams, n: int, model: str | None, dt: float 
     basis = build_basis(n)
     ground = perturbative_ground_state(basis, p)
     if model == "full":
-        op = build_effective_hamiltonian(basis, p)
-        return model, op, ground, dt if dt is not None else full_model_step(p)
+        return model, build_effective_hamiltonian(basis, p), ground, full_model_step(p)
     op = build_eliminated_hamiltonian(basis, p)
-    return model, op, ground.reduced(), dt if dt is not None else eliminated_model_step(p)
+    return model, op, ground.reduced(), eliminated_model_step(p)
 
 
 def null_trajectory(
@@ -237,10 +370,12 @@ def null_trajectory(
 
     Under continuous pair measurement a null result drives the register
     into |T>; the series carries ``t_sat``, the first time the conditioned
-    fidelity reaches 99.9% of its final value.
+    fidelity reaches 99.9% of its final value.  A given ``dt`` pins RK4;
+    otherwise ``evolve`` chooses the backend, with the model's default step
+    for RK4.
     """
-    _, op, psi0, dt = _conditioned_problem(p, n, model, dt)
-    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples)
+    _, op, psi0, step = _conditioned_problem(p, n, model)
+    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step)
     rise = np.nonzero(np.diff(series.norm_sq) > NORM_MONOTONE_TOL)[0]
     if rise.size:
         i = rise[0] + 1
@@ -320,8 +455,8 @@ def jump_ensemble(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    model, op, psi0, dt = _conditioned_problem(p, n, model, dt)
-    n_steps, stride, h, t = _plan_grid(t_end, dt, _max_step(op), max_samples)
+    model, op, psi0, step = _conditioned_problem(p, n, model)
+    n_steps, stride, h, t = _plan_grid(t_end, step if dt is None else dt, _max_step(op), max_samples)
 
     psi = psi0.amplitudes.astype(np.complex128, copy=True)
     norm = np.empty(n_steps + 1)  # ||psi||^2 after steps 0..n_steps

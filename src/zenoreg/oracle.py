@@ -19,12 +19,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse.linalg
 
-from .dynamics import MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger
+from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
 DOUBLE_OCC_CAP = 100_000
-DENSE_EIG_CUTOFF = 2000
 
 
 def _occupations(n_atoms: int, n_sites: int):
@@ -181,7 +180,9 @@ def exact_evolve_fidelity(
 
     Returns F(t) = |<unit-filled|psi(t)>|^2 on a uniform grid with the
     energy <H>; the norm is conserved (Hermitian evolution) and reported
-    for drift checks.
+    for drift checks.  A given ``dt`` pins RK4, the reference; without it
+    the evolution is exact by one dense ``eigh`` whenever the cost model in
+    ``dynamics._schrodinger`` finds that cheaper (``backend`` on the result).
     """
     if basis.n_atoms != basis.n_sites:
         raise ModelError("free-evolution fidelity requires N = M")
@@ -189,15 +190,17 @@ def exact_evolve_fidelity(
     target = basis.unit_filled_index
     psi = np.zeros(basis.dimension, dtype=np.complex128)
     psi[target] = 1.0
-    t, samples = _schrodinger(op, psi, t_end, dt, max_samples)
+    t, run = _schrodinger(op, psi, t_end, dt, max_samples)
     fid = np.empty(t.size)
     norm = np.empty(t.size)
     energy = np.empty(t.size)
-    for i, y in enumerate(samples):
+    for i, y in enumerate(run):
         norm[i] = np.vdot(y, y).real
         fid[i] = abs(y[target]) ** 2  # overlap with the unit-filled state
         energy[i] = np.vdot(y, op.matvec(y)).real / norm[i]
-    return TrajectorySeries(t=t, fidelity=fid, norm_sq=norm, energy=energy)
+    return TrajectorySeries(
+        t=t, fidelity=fid, norm_sq=norm, energy=energy, backend=run.backend, cond_v=run.cond_v
+    )
 
 
 def double_occupancy_evolve(

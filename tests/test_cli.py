@@ -143,6 +143,7 @@ class TestIntegrationErrorExitCode:
             (["params", "--u-over-j", "-500"], "--u-over-j must be finite and > 0"),
             (["oracle", "--atoms", "3", "--delta-over-u", "nan"], "--delta-over-u must be finite"),
             (["oracle", "--atoms", "3", "--delta-over-u", "inf"], "--delta-over-u must be finite"),
+            (["free", "--n", "5", "--u-over-j", "1e-300"], "--u-over-j = 1e-300 is too small"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):
@@ -236,6 +237,36 @@ class TestFreeAndOracleCommands:
         rows = [line.split(",") for line in open(f"{out}.csv").read().splitlines()]
         assert rows[0][2] == "f_docc"
         assert [row[2] for row in rows[1:]] == [format_number(f) for f in docc.fidelity]
+
+
+class TestDiagnostics:
+    def test_oracle_defaults_use_eigh(self, runner, tmp_path):
+        out = tmp_path / "oracle"
+        assert runner.invoke(main, ["oracle", "--out", str(out)]).exit_code == 0
+        diagnostics = read_json(f"{out}.json")["diagnostics"]
+        assert diagnostics == {
+            "f_exact": {"backend": "eigh", "cond_v": None},
+            "f_docc": {"backend": "eigh", "cond_v": None},
+        }
+
+    @pytest.mark.parametrize(
+        "args, backend",
+        [
+            (["trajectory", "--n", "5", "--t-end", "1", "--model", "eliminated"], "eig"),
+            (["trajectory", "--n", "5", "--t-end", "1", "--model", "eliminated", "--dt", "1e-3"], "rk4"),
+            (["free", "--n", "5", "--t-end", "0.2/J"], "eigh"),
+            (["free", "--n", "5", "--t-end", "0.2/J", "--dt", "0.01"], "rk4"),
+        ],
+    )
+    def test_sidecar_names_the_backend(self, runner, tmp_path, args, backend):
+        out = tmp_path / "run"
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        diagnostics = read_json(f"{out}.json")["diagnostics"]
+        assert diagnostics["backend"] == backend
+        if backend == "eig":
+            assert diagnostics["cond_v"] >= 1.0
+        else:
+            assert diagnostics["cond_v"] is None
 
 
 class TestEfficiencyCommand:

@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import free_params, measurement_test_params
 from zenoreg.dynamics import (
+    DENSE_EIG_CUTOFF,
     BlochState,
     IntegrationError,
     ReducedDensityState,
@@ -21,8 +22,12 @@ from zenoreg.dynamics import (
     null_trajectory,
     reduced_master_equation,
     zeno_decay_rate,
+    _conditioned_problem,
+    _max_step,
+    _plan_grid,
     _rme_generator,
     _schrodinger,
+    _spectral_is_cheaper,
 )
 from zenoreg.register import (
     SparseOperator,
@@ -402,6 +407,44 @@ class TestKernelProperties:
         assert np.all(np.diff(series.norm_sq) <= 1e-14)  # rounding of ||psi||^2 only
 
     @settings(max_examples=40)
+    @given(problem=arrowheads(), t_end=st.floats(0.1, 10.0))
+    def test_conditioned_norm_nonincreasing_rk4(self, problem, t_end):
+        # the property above on the RK4 kernel itself, at its largest step,
+        # whichever backend the cost model picks when no step is given
+        op, psi0 = problem
+        series = evolve(op, psi0, t_end=t_end, dt=min(_max_step(op), t_end))
+        assert series.backend == "rk4"
+        assert np.all(np.diff(series.norm_sq) <= 1e-14)
+
+    @settings(max_examples=40)
+    @given(problem=st.one_of(arrowheads(), arrowheads(damped=False)), steps=st.integers(1, 2000))
+    def test_spectral_matches_rk4(self, problem, steps):
+        op, psi0 = problem
+        op = replace(op, hermitian=op.is_hermitian())  # Hermitian problems take eigh
+        omega = op.frequency_bound() or 1.0
+        dt = 0.01 / omega
+        runs = {}
+        for pinned in (None, dt):
+            psi = psi0.astype(np.complex128)
+            _, run = _schrodinger(op, psi, steps * dt, pinned, 11)
+            runs[pinned] = (np.array([y.copy() for y in run]), run)
+        (exact, spectral), (ref, _) = runs[None], runs[dt]
+        assume(spectral.backend != "rk4")  # cond(V) above COND_V_LIMIT
+        assert spectral.backend == ("eig" if spectral.cond_v else "eigh")
+        # |hG| <= h omega, and e^(hG) is a contraction, so each of RK4's
+        # n <= steps + 10 steps errs by the first dropped Taylor term,
+        # (h omega)^5 / 120, and the errors add; the spectral rebuild rounds
+        # at cond(V) eps.  The norm and |c_T|^2 err by twice the state.
+        state_tol = 2.0 * (steps + 10) * 0.01**5 / 120 + 100 * (spectral.cond_v or 1.0) * np.finfo(float).eps
+        assert np.max(np.abs(exact - ref)) <= state_tol
+        norm = np.sum(np.abs(exact) ** 2, axis=1)
+        norm_ref = np.sum(np.abs(ref) ** 2, axis=1)
+        assert np.max(np.abs(norm - norm_ref)) <= 2.0 * state_tol
+        fid = np.abs(exact[:, 0]) ** 2 / norm
+        fid_ref = np.abs(ref[:, 0]) ** 2 / norm_ref
+        assert np.all(np.abs(fid - fid_ref) <= 4.0 * state_tol / np.minimum(norm, norm_ref))
+
+    @settings(max_examples=40)
     @given(problem=arrowheads(damped=False), steps=st.integers(1, 2000))
     def test_hermitian_norm_conserved(self, problem, steps):
         # RK4 loses (h w)^6 / 72 of the norm per step on a mode of frequency
@@ -434,3 +477,68 @@ class TestKernelProperties:
         p = replace(measurement_test_params(n, strength), delta_over_u=delta, vc_over_u=vc)
         series = reduced_master_equation(p, n, t_end=2.0, max_samples=201)
         assert np.all(np.diff(series.trace) <= 1e-12)
+
+
+def reference_register(p, model: str, t_end: float):
+    """Operator, step count and sample count of a null trajectory at n = 501
+    with its defaults."""
+    _, op, _, step = _conditioned_problem(p, 501, model)
+    n_steps, _, _, t = _plan_grid(t_end, step, _max_step(op), 5000)
+    return op, n_steps, t.size
+
+
+def jordan_like(eta: float) -> SparseOperator:
+    """[[-i, 1], [eta, -i]]: eigenvectors (1, +-sqrt(eta)), cond(V) ~ 1/sqrt(eta)."""
+    return SparseOperator.from_triplets(2, [(0, 0, -1j), (0, 1, 1.0), (1, 0, complex(eta)), (1, 1, -1j)])
+
+
+class TestBackendChoice:
+    def test_cli_trajectory_stays_on_rk4(self, reference_params):
+        # spectral would save under 1 s of about 5 s and hold dense 1001^2 matrices
+        op, n_steps, n_samples = reference_register(reference_params, "eliminated", 30.0)
+        assert not _spectral_is_cheaper(op, n_steps, n_samples)
+
+    def test_full_model_goes_spectral(self, reference_params):
+        # criterion 2's full model: 3.4M stiff RK4 steps against one eig of dim 2001
+        op, n_steps, n_samples = reference_register(reference_params, "full", 20.0)
+        assert _spectral_is_cheaper(op, n_steps, n_samples)
+        assert not _spectral_is_cheaper(replace(op, dim=DENSE_EIG_CUTOFF + 1), n_steps, n_samples)
+
+    def test_given_step_pins_rk4(self, reference_params):
+        series = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, dt=0.01, max_samples=11)
+        assert series.backend == "rk4" and series.cond_v is None
+        unpinned = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, max_samples=11)
+        assert unpinned.backend == "eigh"
+        elim = null_trajectory(reference_params, 5, t_end=1.0, model="eliminated", dt=1e-3, max_samples=11)
+        assert elim.backend == "rk4"
+
+    def test_unpinned_conditioned_run_uses_eig(self, reference_params):
+        series = null_trajectory(reference_params, 5, t_end=1.0, model="full", max_samples=11)
+        assert series.backend == "eig" and 1.0 <= series.cond_v < 1e3
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-20])
+    def test_near_defective_generator_falls_back_to_rk4(self, eta):
+        op = jordan_like(eta)
+        psi0 = np.array([0.6, 0.8])
+        series = evolve(op, psi0, t_end=2.0, max_samples=21)
+        rk4 = evolve(op, psi0, t_end=2.0, dt=_max_step(op), max_samples=21)
+        assert series.backend == "rk4"
+        assert np.array_equal(series.fidelity, rk4.fidelity)
+        assert np.array_equal(series.norm_sq, rk4.norm_sq)
+
+    def test_tiny_damping_is_kept(self):
+        # within the Hermitian tolerance, but over t = 1e180 the damping decays e^-2
+        op = SparseOperator.from_triplets(2, [(0, 0, 0j), (1, 1, -0.5e-180j)])
+        series = evolve(op, np.array([0.0, 1.0]), t_end=2e180, max_samples=5)
+        assert series.backend == "eig"
+        assert np.allclose(series.norm_sq, np.exp(-np.linspace(0.0, 2.0, 5)), rtol=1e-12)
+
+    def test_non_normal_generator_below_the_guard(self):
+        # cond(V) ~ 100, far below COND_V_LIMIT; eig runs and agrees
+        op = jordan_like(1e-4)
+        psi0 = np.array([0.6, 0.8])
+        series = evolve(op, psi0, t_end=2.0, max_samples=21)
+        rk4 = evolve(op, psi0, t_end=2.0, dt=1e-3, max_samples=21)
+        assert series.backend == "eig" and 10.0 < series.cond_v < 1e3
+        assert np.max(np.abs(series.norm_sq - rk4.norm_sq)) < 1e-10
+        assert np.max(np.abs(series.fidelity - rk4.fidelity)) < 1e-10

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import free_params
+from zenoreg.dynamics import _max_step
 from zenoreg.oracle import (
     build_bose_hubbard,
     double_occupancy_basis,
@@ -126,6 +127,17 @@ class TestExactEvolution:
         shift = 0.5 * (a - c) / (a - 2 * b + c)
         omega = freqs[peak] + shift * (freqs[1] - freqs[0])
         assert omega == pytest.approx(1.0, rel=0.02)
+
+    def test_spectral_matches_rk4_reference(self):
+        # N = M = 5, t = 1/J at U/J = 500: one eigh against ~1e5 pinned RK4 steps
+        basis, j = fock_basis(5, 5), 1.0 / 500.0
+        exact = exact_evolve_fidelity(basis, j, 1.0, 1e-3, 500.0, max_samples=2001)
+        step = _max_step(build_bose_hubbard(basis, j, 1.0, 1e-3))
+        rk4 = exact_evolve_fidelity(basis, j, 1.0, 1e-3, 500.0, dt=step, max_samples=2001)
+        assert (exact.backend, rk4.backend) == ("eigh", "rk4")
+        assert np.max(np.abs(exact.fidelity - rk4.fidelity)) <= 1e-10
+        assert np.max(np.abs(exact.norm_sq - rk4.norm_sq)) <= 1e-10
+        assert np.max(np.abs(exact.energy - rk4.energy)) <= 1e-10
 
     def test_requires_unit_filling(self):
         with pytest.raises(ModelError):
