@@ -33,6 +33,9 @@ wavefunction and the exact oracle whenever a step is given.  Without one,
 ``_schrodinger`` may instead diagonalise H once and rebuild the samples
 exactly (``_spectral``), when a cost model predicts that to be clearly
 cheaper; the 4x4 Bloch system is exact, one matrix exponential a gap.
+The conditioned wavefunction and the jump ensemble start from the
+perturbative ground state and so propagate only the register's bright
+sector (``register.BrightSector``), about half the layout.
 The full model is stiff (gamma_M/U is a few thousand), so its default step
 is 0.02/gamma_M, while the eliminated model and the master equation
 resolve the fastest coherence rotation with 0.01/(U+|V_c|).
@@ -45,11 +48,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .params import DerivedParams
 from .register import (
+    BrightSector,
     RestrictedBasis,
     SparseOperator,
     StateVector,
@@ -86,6 +89,10 @@ REBUILD_S = 1.2e-10
 # Spectral must be predicted this many times cheaper than RK4, so a run the
 # model calls close keeps the RK4 reference.
 SPECTRAL_MARGIN = 2.0
+# Longest RK4 run accepted: about 2 h at the 70 us a step measured at dim 1001
+# on the box above.  The longest RK4 run the library itself asks for, the
+# full model at n = 501 to t = 20/U when eig is refused, is 3.4M steps.
+MAX_RK4_STEPS = 10**8
 
 
 class IntegrationError(RuntimeError):
@@ -121,6 +128,15 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
     stride = max(1, math.ceil(math.ceil(t_end / dt) / n_gaps))
     n_steps = stride * n_gaps
     return n_steps, stride, t_end / n_steps, np.linspace(0.0, t_end, n_gaps + 1)
+
+
+def _refuse_long_rk4(n_steps: int, t_end: float, dt: float) -> None:
+    """Refuse an RK4 run of more than MAX_RK4_STEPS steps before it starts."""
+    if n_steps > MAX_RK4_STEPS:
+        raise IntegrationError(
+            f"t_end = {t_end:g} at dt = {dt:g} takes {n_steps:.3g} RK4 steps; "
+            f"at most {MAX_RK4_STEPS:.0e} are run"
+        )
 
 
 def _rk4(gen, y, h: float, n_gaps: int, stride: int):
@@ -254,6 +270,7 @@ def _schrodinger(
         spectral = _spectral(op, psi, t)
         if spectral is not None:
             return t, spectral
+    _refuse_long_rk4(n_steps, t_end, step)
     return t, Propagation(_rk4(op.matrix * -1j, psi, h, t.size - 1, stride))
 
 
@@ -299,10 +316,13 @@ def evolve(
     dt: float | None = None,
     max_samples: int = MAX_OUTPUT_SAMPLES,
     default_dt: float | None = None,
+    embed=None,
 ) -> TrajectorySeries:
     """Integrate i dpsi/dt = H psi from ``psi0``.
 
-    ``psi0`` may be a StateVector or a bare amplitude array.  The reported
+    ``psi0`` may be a StateVector or a bare amplitude array.  ``final_state``
+    is the state at t_end: ``embed(amplitudes)`` if given, else a StateVector
+    over ``psi0``'s basis, or None for a bare array.  The reported
     fidelity is the conditioned target population |psi_T|^2/||psi||^2; T is
     index 0 of both the full and the eliminated layout.  A given ``dt``
     pins fixed-step RK4, the reference; the step must satisfy
@@ -323,7 +343,10 @@ def evolve(
     for i, y in enumerate(run):
         norm[i] = np.vdot(y, y).real
         c_t[i] = y[0]
-    final = StateVector(psi0.basis, psi) if isinstance(psi0, StateVector) else None
+    if embed is not None:
+        final = embed(psi)
+    else:
+        final = StateVector(psi0.basis, psi) if isinstance(psi0, StateVector) else None
     return TrajectorySeries(
         t=t,
         fidelity=_conditioned_population(c_t, norm),
@@ -343,19 +366,22 @@ def _resolve_model(model: str | None, n: int) -> str:
 
 
 def _conditioned_problem(p: DerivedParams, n: int, model: str | None):
-    """Model name, generator, initial state and default RK4 step of the
-    conditioned dynamics.
+    """Model name, generator, initial amplitudes, default RK4 step and
+    ``BrightSector`` of the conditioned dynamics.
 
-    The register starts in the perturbative ground state; the full model
-    keeps the molecular states, the eliminated one evolves the T+S layout.
+    The register starts in the perturbative ground state, whose pair
+    amplitudes depend on the pair energy alone, so it and every state the
+    conditioned dynamics reaches from it lie in the bright sector; the
+    generator is the register operator's block there.  The full model keeps
+    the molecular states, the eliminated one drops them.
     """
     model = _resolve_model(model, n)
     basis = build_basis(n)
-    ground = perturbative_ground_state(basis, p)
+    sector = BrightSector(basis, p.delta_over_u, molecular=model == "full")
+    psi0 = sector.project(perturbative_ground_state(basis, p))
     if model == "full":
-        return model, build_effective_hamiltonian(basis, p), ground, full_model_step(p)
-    op = build_eliminated_hamiltonian(basis, p)
-    return model, op, ground.reduced(), eliminated_model_step(p)
+        return model, build_effective_hamiltonian(basis, p, bright=True), psi0, full_model_step(p), sector
+    return model, build_eliminated_hamiltonian(basis, p, bright=True), psi0, eliminated_model_step(p), sector
 
 
 def null_trajectory(
@@ -370,12 +396,16 @@ def null_trajectory(
 
     Under continuous pair measurement a null result drives the register
     into |T>; the series carries ``t_sat``, the first time the conditioned
-    fidelity reaches 99.9% of its final value.  A given ``dt`` pins RK4;
-    otherwise ``evolve`` chooses the backend, with the model's default step
-    for RK4.
+    fidelity reaches 99.9% of its final value.  The run propagates the
+    bright sector (see ``_conditioned_problem``); ``final_state`` is in the
+    full layout for the full model and in the T+S layout for the eliminated
+    one.  A given ``dt`` pins RK4; otherwise ``evolve`` chooses the backend,
+    with the model's default step for RK4.
     """
-    _, op, psi0, step = _conditioned_problem(p, n, model)
-    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step)
+    _, op, psi0, step, sector = _conditioned_problem(p, n, model)
+    series = evolve(
+        op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step, embed=sector.embed
+    )
     rise = np.nonzero(np.diff(series.norm_sq) > NORM_MONOTONE_TOL)[0]
     if rise.size:
         i = rise[0] + 1
@@ -455,10 +485,11 @@ def jump_ensemble(
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    model, op, psi0, step = _conditioned_problem(p, n, model)
-    n_steps, stride, h, t = _plan_grid(t_end, step if dt is None else dt, _max_step(op), max_samples)
+    model, op, psi, step, _ = _conditioned_problem(p, n, model)
+    step = step if dt is None else dt
+    n_steps, stride, h, t = _plan_grid(t_end, step, _max_step(op), max_samples)
+    _refuse_long_rk4(n_steps, t_end, step)
 
-    psi = psi0.amplitudes.astype(np.complex128, copy=True)
     norm = np.empty(n_steps + 1)  # ||psi||^2 after steps 0..n_steps
     c_t = np.empty(t.size, dtype=np.complex128)
     for k, y in enumerate(_rk4(op.matrix * -1j, psi, h, n_steps, 1)):
@@ -585,7 +616,8 @@ def reduced_master_equation(
     if rho0.rho_ss.shape != (m,) or rho0.rho_st.shape != (m,):
         raise IntegrationError("initial state does not match the register size")
     gen, max_step = _rme_generator(p, basis)
-    _, stride, h, t = _plan_grid(t_end, dt, max_step, max_samples)
+    n_steps, stride, h, t = _plan_grid(t_end, dt, max_step, max_samples)
+    _refuse_long_rk4(n_steps, t_end, dt)
 
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
     out_tt = np.empty(t.size)
@@ -680,6 +712,8 @@ def bloch_evolution(
             [0.0, 0.0, -kappa, -kappa],
         ]
     )
+    import scipy.linalg  # only here, to keep it out of the package import
+
     step = scipy.linalg.expm(gen * gap)
 
     out = np.empty((t.size, 4))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger
 from .register import ModelError, SparseOperator
@@ -158,6 +157,8 @@ def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
         energies, vectors = np.linalg.eigh(op.to_dense())
         energy, vector = float(energies[0]), vectors[:, 0]
     else:
+        import scipy.sparse.linalg  # only here, to keep it out of the package import
+
         energies, vectors = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA")
         energy, vector = float(energies[0]), vectors[:, 0]
     scale = op.frequency_bound()

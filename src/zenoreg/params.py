@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from scipy.special import gammaln
 
 PLANCK_H = 6.62607015e-34  # J s
 MASS_RB87 = 1.4431608951127549e-25  # kg
@@ -250,7 +249,7 @@ def hole_leak_log(j: float, delta: float, n: int, big_n: int, form: str = "close
         return float("-inf")
     if form == "closed":
         return (big_n - n + 2) * math.log(j / (2.0 * delta)) + 2.0 * (
-            gammaln(n / 2.0) - gammaln(big_n / 2.0 + 1.0)
+            math.lgamma(n / 2.0) - math.lgamma(big_n / 2.0 + 1.0)
         )
     if form == "product":
         total = 0.0

@@ -19,7 +19,9 @@ With the trap offset eps(j) = delta j^2 and |T> defining the zero of
 energy, the pair-state energies are E(S_j^+/-) = U -/+ delta (2j+1); all
 energies here are in units of U (so U = 1).  ``RestrictedBasis`` holds this
 layout and spectrum as arrays over the pair states, and every operator and
-state below is built from them.
+state below is built from them.  ``BrightSector`` is the smaller layout, one
+state per group of equal-energy pair states, that the conditioned dynamics
+from the perturbative ground state never leaves.
 """
 
 from __future__ import annotations
@@ -243,35 +245,92 @@ def fidelity(psi: StateVector) -> float:
     return float(abs(psi.amplitudes[0]) ** 2 / norm)
 
 
-def _arrowhead(dim, slots, s_diag, j_hop, m_diag=None, omega_m=0.0, hermitian=True):
-    """Register operator with T at index 0: T row and column -sqrt(2) J to
-    every pair state at ``slots``, ``s_diag`` on the pair diagonal and, with
-    ``m_diag``, each molecule at slots + 2 coupled to its pair by Omega_M/2."""
+class BrightSector:
+    """T and the uniform superposition of each group of equal-energy pair
+    states, with that group's molecular superposition if ``molecular``.
+
+    A pair state's energy fixes its diagonal, its damping kappa_j and its
+    molecular detuning, and T couples to every pair state by the same
+    -sqrt(2) J, so a register operator maps this span into itself and
+    couples T to group g by -sqrt(2) J sqrt(size_g) (the Morris-Shore
+    bright/dark split).  The register's trap is symmetric about its centre,
+    so at delta != 0 the groups are the mirror couples (j, +) and (-j-1, -)
+    and at delta = 0 all pair states form one group.  Layout: T, the groups
+    in ascending energy at ``slots``, then (molecular) their molecules in the
+    same order at ``m_slots``.  ``first`` is the pair-table row of one member
+    of each group, ``group`` the group of each pair state and ``scale`` the
+    square root of each group's size.
+    """
+
+    def __init__(self, basis: RestrictedBasis, delta: float, molecular: bool):
+        self.basis, self.molecular = basis, molecular
+        _, self.first, self.group, size = np.unique(
+            basis.pair_energies(delta), return_index=True, return_inverse=True, return_counts=True
+        )
+        self.scale = np.sqrt(size)
+        self.slots = np.arange(1, 1 + size.size)
+        self.m_slots = self.slots + size.size
+        self.dim = 1 + (2 if molecular else 1) * size.size
+
+    @property
+    def _full_slots(self) -> list:
+        """Full-layout slots of the pair states, then (molecular) of their molecules."""
+        return [self.basis.s_slots, self.basis.s_slots + 2][: 2 if self.molecular else 1]
+
+    def project(self, state: StateVector) -> np.ndarray:
+        """Sector amplitudes of ``state``, whose pair (and molecular)
+        amplitudes must be equal within each group: sqrt(size) times the
+        shared amplitude.  Raises ModelError for a state with a dark part."""
+        amps = state.expanded().amplitudes
+        columns = [amps[slots] for slots in self._full_slots]
+        if any(not np.array_equal(c, c[self.first][self.group]) for c in columns):
+            raise ModelError("state differs within a group of equal-energy pair states")
+        return np.concatenate([amps[:1]] + [c[self.first] * self.scale for c in columns])
+
+    def embed(self, amps: np.ndarray) -> StateVector:
+        """The state with sector amplitudes ``amps``, in the full layout if
+        ``molecular``, else in the T+S layout."""
+        shared = (amps[1:].reshape(-1, self.first.size) / self.scale)[:, self.group]
+        out = np.zeros(self.basis.dimension, dtype=np.complex128)
+        out[0] = amps[0]
+        for slots, column in zip(self._full_slots, shared):
+            out[slots] = column
+        state = StateVector(self.basis, out)
+        return state if self.molecular else state.reduced()
+
+
+def _arrowhead(dim, slots, s_diag, j_hop, scale=1.0, m_slots=None, m_diag=None, omega_m=0.0, hermitian=True):
+    """Register operator with T at index 0: T row and column -sqrt(2) J times
+    ``scale`` (a number or one per slot) to every pair state at ``slots``,
+    ``s_diag`` on the pair diagonal and, with ``m_slots``, each molecule
+    there coupled to its pair by Omega_M/2 with ``m_diag`` on its diagonal."""
     t = np.zeros_like(slots)
-    hop = np.full(slots.size, -math.sqrt(2.0) * j_hop)
+    hop = -math.sqrt(2.0) * j_hop * np.broadcast_to(scale, slots.shape)
     rows, cols, vals = [[0], slots, t, slots], [[0], slots, slots, t], [[0.0], s_diag, hop, hop]
-    if m_diag is not None:
-        m, half = slots + 2, np.full(slots.size, omega_m / 2.0)
-        rows += [m, slots, m]
-        cols += [m, m, slots]
+    if m_slots is not None:
+        half = np.full(slots.size, omega_m / 2.0)
+        rows += [m_slots, slots, m_slots]
+        cols += [m_slots, m_slots, slots]
         vals += [m_diag, half, half]
     return SparseOperator.from_coo(
         dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), hermitian
     )
 
 
-def _molecular_hamiltonian(basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool):
-    """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal."""
+def _molecular_hamiltonian(
+    basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool, bright: bool = False
+):
+    """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal, or
+    its bright-sector block (see ``BrightSector``)."""
     s_diag = p.vc_over_u + basis.pair_energies(p.delta_over_u)
-    return _arrowhead(
-        basis.dimension,
-        basis.s_slots,
-        s_diag,
-        p.j_over_u,
-        m_diag=s_diag - 1.0 - 0.5j * loss,
-        omega_m=p.omega_m_over_u,
-        hermitian=hermitian,
-    )
+    m_diag = s_diag - 1.0 - 0.5j * loss
+    if bright:
+        sector = BrightSector(basis, p.delta_over_u, molecular=True)
+        s_diag, m_diag = s_diag[sector.first], m_diag[sector.first]
+        dim, slots, m_slots, scale = sector.dim, sector.slots, sector.m_slots, sector.scale
+    else:
+        dim, slots, m_slots, scale = basis.dimension, basis.s_slots, basis.s_slots + 2, 1.0
+    return _arrowhead(dim, slots, s_diag, p.j_over_u, scale, m_slots, m_diag, p.omega_m_over_u, hermitian)
 
 
 def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -284,14 +343,17 @@ def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> S
     return _molecular_hamiltonian(basis, p, 0.0, hermitian=True)
 
 
-def build_effective_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
+def build_effective_hamiltonian(
+    basis: RestrictedBasis, p: DerivedParams, bright: bool = False
+) -> SparseOperator:
     """Non-Hermitian Hamiltonian for null-result conditioning.
 
     Equals the interaction Hamiltonian with -i gamma_M/2 added to every
     molecular diagonal; norm loss under this operator is the accumulated
-    decay probability.
+    decay probability.  ``bright`` builds its block on the molecular
+    ``BrightSector`` instead of the full layout.
     """
-    return _molecular_hamiltonian(basis, p, p.gamma_m_over_u, hermitian=False)
+    return _molecular_hamiltonian(basis, p, p.gamma_m_over_u, hermitian=False, bright=bright)
 
 
 def build_free_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -317,11 +379,14 @@ def coherence_damping_rate(j, sign, p: DerivedParams):
     )
 
 
-def build_eliminated_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
+def build_eliminated_hamiltonian(
+    basis: RestrictedBasis, p: DerivedParams, bright: bool = False
+) -> SparseOperator:
     """Non-Hermitian T+S Hamiltonian with molecular states eliminated.
 
     Each pair state acquires the diagonal |V_c| + E(S_j^+-) - i kappa_j.
     Valid for Omega_M/gamma_M << 1; a violation warns but still builds.
+    ``bright`` builds its block on the ``BrightSector`` instead of T+S.
     """
     if p.gamma_m_over_u > 0 and p.omega_m_over_u / p.gamma_m_over_u >= 0.1:
         warnings.warn(
@@ -332,6 +397,11 @@ def build_eliminated_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> Sp
     s_diag = (p.vc_over_u + basis.pair_energies(p.delta_over_u)).astype(np.complex128)
     s_diag.imag = -coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     hermitian = p.omega_m_over_u == 0.0 or p.gamma_m_over_u == 0.0
+    if bright:
+        sector = BrightSector(basis, p.delta_over_u, molecular=False)
+        return _arrowhead(
+            sector.dim, sector.slots, s_diag[sector.first], p.j_over_u, sector.scale, hermitian=hermitian
+        )
     slots = np.arange(1, basis.reduced_dimension)
     return _arrowhead(basis.reduced_dimension, slots, s_diag, p.j_over_u, hermitian=hermitian)
 

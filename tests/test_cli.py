@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import zenoreg
 from zenoreg.cli import main
 from zenoreg.oracle import double_occupancy_evolve
 from zenoreg.params import derive_params, reference_config
@@ -19,6 +24,17 @@ def runner():
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def test_cli_import_leaves_out_unused_scipy_modules():
+    # scipy.linalg, scipy.sparse.linalg and scipy.special are imported only
+    # where used, so the CLI's import does not pay their memory
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zenoreg.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.special') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestParamsCommand:
@@ -144,6 +160,9 @@ class TestIntegrationErrorExitCode:
             (["oracle", "--atoms", "3", "--delta-over-u", "nan"], "--delta-over-u must be finite"),
             (["oracle", "--atoms", "3", "--delta-over-u", "inf"], "--delta-over-u must be finite"),
             (["free", "--n", "5", "--u-over-j", "1e-300"], "--u-over-j = 1e-300 is too small"),
+            (["trajectory", "--dt", "1e-3", "--t-end", "1e9"], "RK4 steps"),
+            (["ensemble", "--t-end", "1e9"], "RK4 steps"),
+            (["nonselective", "--t-end", "1e9"], "RK4 steps"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):

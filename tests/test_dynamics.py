@@ -14,8 +14,10 @@ from zenoreg.dynamics import (
     ReducedDensityState,
     bloch_evolution,
     collective_coupling,
+    eliminated_model_step,
     evolve,
     finite_efficiency_fidelity,
+    full_model_step,
     ground_reduced_density,
     jump_ensemble,
     nonselective_fidelity_closed,
@@ -30,8 +32,13 @@ from zenoreg.dynamics import (
     _spectral_is_cheaper,
 )
 from zenoreg.register import (
+    BrightSector,
+    ModelError,
     SparseOperator,
+    StateVector,
     build_basis,
+    build_effective_hamiltonian,
+    build_eliminated_hamiltonian,
     coherence_damping_rate,
     fidelity,
     pair_state_energy,
@@ -482,7 +489,7 @@ class TestKernelProperties:
 def reference_register(p, model: str, t_end: float):
     """Operator, step count and sample count of a null trajectory at n = 501
     with its defaults."""
-    _, op, _, step = _conditioned_problem(p, 501, model)
+    _, op, _, step, _ = _conditioned_problem(p, 501, model)
     n_steps, _, _, t = _plan_grid(t_end, step, _max_step(op), 5000)
     return op, n_steps, t.size
 
@@ -493,10 +500,15 @@ def jordan_like(eta: float) -> SparseOperator:
 
 
 class TestBackendChoice:
-    def test_cli_trajectory_stays_on_rk4(self, reference_params):
-        # spectral would save under 1 s of about 5 s and hold dense 1001^2 matrices
+    def test_cli_trajectory_goes_spectral_on_the_bright_sector(self, reference_params):
+        # the CLI's default trajectory: one eig of dim 501 against ~50k RK4
+        # steps; on the unreduced T+S operator (dim 1001) RK4 still wins
         op, n_steps, n_samples = reference_register(reference_params, "eliminated", 30.0)
-        assert not _spectral_is_cheaper(op, n_steps, n_samples)
+        assert op.dim == 501
+        assert _spectral_is_cheaper(op, n_steps, n_samples)
+        unreduced = build_eliminated_hamiltonian(build_basis(501), reference_params)
+        n_steps, _, _, t = _plan_grid(30.0, eliminated_model_step(reference_params), _max_step(unreduced), 5000)
+        assert not _spectral_is_cheaper(unreduced, n_steps, t.size)
 
     def test_full_model_goes_spectral(self, reference_params):
         # criterion 2's full model: 3.4M stiff RK4 steps against one eig of dim 2001
@@ -542,3 +554,85 @@ class TestBackendChoice:
         assert series.backend == "eig" and 10.0 < series.cond_v < 1e3
         assert np.max(np.abs(series.norm_sq - rk4.norm_sq)) < 1e-10
         assert np.max(np.abs(series.fidelity - rk4.fidelity)) < 1e-10
+
+
+def unreduced_problem(p, n: int, model: str):
+    """Operator and initial state of the conditioned dynamics on the whole
+    layout (full, or T+S for the eliminated model), and the model's step."""
+    basis = build_basis(n)
+    ground = perturbative_ground_state(basis, p)
+    if model == "full":
+        return build_effective_hamiltonian(basis, p), ground, full_model_step(p)
+    return build_eliminated_hamiltonian(basis, p), ground.reduced(), eliminated_model_step(p)
+
+
+def isometry(sector: BrightSector) -> np.ndarray:
+    """Columns: the sector's basis states, embedded in the whole layout."""
+    eye = np.eye(sector.dim, dtype=np.complex128)
+    return np.column_stack([sector.embed(e).amplitudes for e in eye])
+
+
+class TestBrightSector:
+    # 200 RK4 steps of the model's default size
+    @pytest.mark.parametrize("model", ["eliminated", "full"])
+    @pytest.mark.parametrize("n", [5, 51, 501])
+    def test_reduced_run_matches_unreduced(self, reference_params, n, model):
+        op, psi0, step = unreduced_problem(reference_params, n, model)
+        kwargs = dict(t_end=200 * step, dt=step, max_samples=21)
+        whole = evolve(op, psi0, **kwargs)
+        reduced = null_trajectory(reference_params, n, model=model, **kwargs)
+        assert reduced.backend == whole.backend == "rk4"
+        assert np.max(np.abs(reduced.fidelity - whole.fidelity)) <= 1e-12
+        assert np.max(np.abs(reduced.norm_sq - whole.norm_sq)) <= 1e-12
+        # the embedded final state is the unreduced one, amplitude by amplitude
+        assert reduced.final_state.amplitudes.shape == whole.final_state.amplitudes.shape
+        assert np.max(np.abs(reduced.final_state.amplitudes - whole.final_state.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("model", ["eliminated", "full"])
+    @pytest.mark.parametrize("n", [5, 51])
+    def test_sector_is_invariant(self, reference_params, n, model):
+        _, reduced, psi0, _, sector = _conditioned_problem(reference_params, n, model)
+        op, ground, _ = unreduced_problem(reference_params, n, model)
+        w = isometry(sector)
+        assert np.allclose(w.conj().T @ w, np.eye(sector.dim), rtol=0.0, atol=1e-15)
+        h = op.to_dense()
+        residual = h @ w - w @ reduced.to_dense()
+        assert np.linalg.norm(residual, 2) <= 1e-12 * np.linalg.norm(h, 2)
+        assert np.max(np.abs(w @ psi0 - ground.amplitudes)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [5, 501])
+    def test_mirror_couples_at_nonzero_delta(self, reference_params, n):
+        basis = build_basis(n)
+        sector = BrightSector(basis, reference_params.delta_over_u, molecular=False)
+        assert sector.dim == n
+        # group members are (j, +) and (-j-1, -)
+        members = [np.flatnonzero(sector.group == g) for g in range(n - 1)]
+        for pair in members:
+            (a, b) = pair
+            assert basis.pair_j[a] + basis.pair_j[b] == -1
+            assert basis.pair_sign[a] == -basis.pair_sign[b]
+
+    @pytest.mark.parametrize("model, dim", [("eliminated", 2), ("full", 3)])
+    def test_one_group_at_zero_delta(self, reference_params, model, dim):
+        p = replace(reference_params, delta_over_u=0.0)
+        _, op, psi0, _, _ = _conditioned_problem(p, 51, model)
+        assert op.dim == psi0.size == dim
+        whole_op, ground, step = unreduced_problem(p, 51, model)
+        kwargs = dict(t_end=200 * step, dt=step, max_samples=11)
+        whole = evolve(whole_op, ground, **kwargs)
+        reduced = null_trajectory(p, 51, model=model, **kwargs)
+        assert np.max(np.abs(reduced.fidelity - whole.fidelity)) <= 1e-12
+        assert np.max(np.abs(reduced.norm_sq - whole.norm_sq)) <= 1e-12
+
+    def test_elimination_warning_still_fires(self, reference_params):
+        p = replace(reference_params, omega_m_over_u=0.2 * reference_params.gamma_m_over_u)
+        with pytest.warns(UserWarning, match="outside its validity range"):
+            null_trajectory(p, 5, t_end=0.01, model="eliminated", max_samples=3)
+
+    def test_state_with_a_dark_part_refused(self, reference_params):
+        basis = build_basis(5)
+        sector = BrightSector(basis, reference_params.delta_over_u, molecular=True)
+        amps = perturbative_ground_state(basis, reference_params).amplitudes.copy()
+        amps[basis.s_slots[0]] *= 1.5
+        with pytest.raises(ModelError, match="differs within a group"):
+            sector.project(StateVector(basis, amps))
