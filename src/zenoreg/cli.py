@@ -84,8 +84,6 @@ def _resolve(config, n, u_over_j, strict):
 
 
 def _parse_t_end(text, p) -> float:
-    if text is None:
-        return None
     text = str(text).strip()
     try:
         value = float(text[:-2]) / p.j_over_u if text.endswith("/J") else float(text)
@@ -114,27 +112,35 @@ def _manifest(subcommand, cfg, p, seed=None, **kwargs) -> RunManifest:
     return RunManifest(subcommand=subcommand, parameters=parameters, seed=seed)
 
 
-def _emit(base, manifest, header, columns, extra=None):
-    csv_path = f"{base}.csv"
+def _emit(base, manifest, header=None, columns=None, extra=None):
+    """Write ``base.csv`` when there is a ``header``, then the JSON sidecar
+    ``base.json``, and name what was written.
+
+    The manifest lists the CSV and the sidecar.  A run without a CSV keeps
+    the outputs its manifest already names (the plot's SVG), or else lists
+    the sidecar alone.
+    """
     json_path = f"{base}.json"
-    write_csv(csv_path, header, columns)
-    manifest.outputs = [csv_path, json_path]
+    if header is not None:
+        manifest.outputs = [f"{base}.csv", json_path]
+        write_csv(manifest.outputs[0], header, columns)
+    elif not manifest.outputs:
+        manifest.outputs = [json_path]
     write_sidecar(json_path, manifest, extra)
-    click.echo(f"wrote {csv_path} and {json_path}")
+    click.echo(f"wrote {' and '.join(manifest.outputs)}")
 
 
-config_option = click.option("--config", type=click.Path(), default=None, help="key=value config file")
-n_option = click.option("--n", type=int, default=None, help="register size (odd)")
-uoj_option = click.option("--u-over-j", type=float, default=None, help="override the U/J ratio")
-strict_option = click.option("--strict", is_flag=True, help="fail on regime violations")
-hz_option = click.option("--hz", is_flag=True, help="report times in seconds instead of 1/U")
-dt_option = click.option(
-    "--dt", type=float, default=None, help="RK4 step (units of 1/U); pins RK4, else an exact backend may run"
-)
-
-
-def out_option(default):
-    return click.option("--out", default=default, show_default=True, help="output base path")
+# options that several subcommands take, keyed by name
+SHARED_OPTIONS = {
+    "config": dict(type=click.Path(), default=None, help="key=value config file"),
+    "n": dict(type=int, default=None, help="register size (odd)"),
+    "u-over-j": dict(type=float, default=None, help="override the U/J ratio"),
+    "strict": dict(is_flag=True, help="fail on regime violations"),
+    "hz": dict(is_flag=True, help="report times in seconds instead of 1/U"),
+    "dt": dict(type=float, default=None, help="RK4 step (units of 1/U); pins RK4, else an exact backend may run"),
+}
+# what ``_resolve`` reads
+RESOLVED = ("config", "n", "u-over-j", "strict")
 
 
 @click.group(cls=_Main)
@@ -143,12 +149,24 @@ def main() -> None:
     """Simulate measurement-stabilized register initialization."""
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@out_option("zenoreg_params")
+def _command(out, *shared):
+    """Register the decorated function as a subcommand of ``main``.
+
+    The subcommand takes the ``shared`` options (keys of SHARED_OPTIONS)
+    first, then the options declared on the function, then ``--out``, the
+    output base path, defaulting to ``out``.
+    """
+
+    def register(f):
+        cmd = main.command()(f)
+        cmd.params[:0] = [click.Option([f"--{name}"], **SHARED_OPTIONS[name]) for name in shared]
+        cmd.params.append(click.Option(["--out"], default=out, show_default=True, help="output base path"))
+        return cmd
+
+    return register
+
+
+@_command("zenoreg_params", *RESOLVED)
 def params(config, n, u_over_j, strict, out):
     """Derived model parameters and regime report as JSON."""
     cfg, p, report = _resolve(config, n, u_over_j, strict)
@@ -165,22 +183,13 @@ def params(config, n, u_over_j, strict, out):
         "p_h": report.p_h,
         "regime": report.as_dict(),
     }
-    manifest = _manifest("params", cfg, p)
-    json_path = f"{out}.json"
-    manifest.outputs = [json_path]
-    write_sidecar(json_path, manifest, payload)
     for key in ("u_hz", "j_over_u", "kappa_over_u", "vc_over_u", "s_a", "strength", "p_h"):
         click.echo(f"{key} = {payload[key]:.6g}")
-    click.echo(f"wrote {json_path}")
+    _emit(out, _manifest("params", cfg, p), extra=payload)
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
+@_command("zenoreg_ground", *RESOLVED)
 @click.option("--dump-state", is_flag=True, help="include the state amplitudes")
-@out_option("zenoreg_ground")
 def ground(config, n, u_over_j, strict, dump_state, out):
     """Perturbative ground state: fidelity, failure probability, energy."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -201,24 +210,13 @@ def ground(config, n, u_over_j, strict, dump_state, out):
             "n": basis.n,
             "amplitudes": [[a.real, a.imag] for a in psi.amplitudes],
         }
-    manifest = _manifest("ground", cfg, p)
-    json_path = f"{out}.json"
-    manifest.outputs = [json_path]
-    write_sidecar(json_path, manifest, payload)
     click.echo(f"F0 = {payload['fidelity']:.6g}, p_fail = {payload['p_fail']:.6g}")
-    click.echo(f"wrote {json_path}")
+    _emit(out, _manifest("ground", cfg, p), extra=payload)
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@hz_option
-@dt_option
+@_command("zenoreg_trajectory", *RESOLVED, "hz", "dt")
 @click.option("--t-end", default="30", show_default=True, help="end time (1/U, or '<x>/J')")
 @click.option("--model", type=click.Choice(["auto", "full", "eliminated"]), default="auto", show_default=True)
-@out_option("zenoreg_trajectory")
 def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
     """Null-measurement trajectory from the ground state (conditioned F)."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -236,18 +234,11 @@ def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
     click.echo(f"t_sat = {series.t_sat:.4g}/U, final F = {series.fidelity[-1]:.6g}")
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@hz_option
-@dt_option
+@_command("zenoreg_ensemble", *RESOLVED, "hz", "dt")
 @click.option("--t-end", default="10", show_default=True)
 @click.option("--traj", type=int, default=1000, show_default=True, help="trajectory count")
 @click.option("--seed", type=int, default=1234, show_default=True)
 @click.option("--model", type=click.Choice(["auto", "full", "eliminated"]), default="full", show_default=True)
-@out_option("zenoreg_ensemble")
 def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out):
     """Jump Monte Carlo ensemble: survival and conditional fidelity."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -275,15 +266,8 @@ def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out)
     click.echo(f"failures: {n_failed}/{traj}")
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@hz_option
-@dt_option
+@_command("zenoreg_nonselective", *RESOLVED, "hz", "dt")
 @click.option("--t-end", default="100", show_default=True)
-@out_option("zenoreg_nonselective")
 def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
     """Nonselective decay: master equation (step --dt) vs exact Bloch system vs closed form."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -306,15 +290,9 @@ def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
     )
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@hz_option
+@_command("zenoreg_efficiency", *RESOLVED, "hz")
 @click.option("--t-end", default="100", show_default=True)
 @click.option("--eta", multiple=True, type=float, help="detector efficiencies (repeatable)")
-@out_option("zenoreg_efficiency")
 def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
     """Finite detector efficiency sweep of the long-time fidelity."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -334,16 +312,9 @@ def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
     _emit(out, manifest, header, columns, extra={"etas": etas, "rho_tt0": rho0})
 
 
-@main.command()
-@config_option
-@n_option
-@uoj_option
-@strict_option
-@hz_option
-@dt_option
+@_command("zenoreg_free", *RESOLVED, "hz", "dt")
 @click.option("--t-end", default="0.5/J", show_default=True)
 @click.option("--from-saturated", is_flag=True, help="start from a measurement-saturated state")
-@out_option("zenoreg_free")
 def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
     """Free lattice evolution: closed-form fidelity vs restricted numerics."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -372,17 +343,11 @@ def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
     )
 
 
-@main.command()
-@config_option
-@uoj_option
-@strict_option
-@hz_option
-@dt_option
+@_command("zenoreg_oracle", "config", "u-over-j", "strict", "hz", "dt")
 @click.option("--atoms", type=int, default=5, show_default=True, help="N = M for the oracle")
 @click.option("--boundary", type=click.Choice(["open", "periodic"]), default="open", show_default=True)
 @click.option("--delta-over-u", type=float, default=None, help="override the trap scale")
 @click.option("--t-end", default="1/J", show_default=True)
-@out_option("zenoreg_oracle")
 def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_end, out):
     """Exact Bose-Hubbard evolution vs truncations and the closed form."""
     cfg, p, _ = _resolve(config, None, u_over_j, strict)
@@ -409,12 +374,11 @@ def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_en
     _emit(out, manifest, header, columns, extra=extra)
 
 
-@main.command()
+@_command("zenoreg_plot")
 @click.option("--in", "csv_path", required=True, type=click.Path(exists=True), help="input CSV")
 @click.option("--x-label", default="", help="x axis label (defaults to first column name)")
 @click.option("--y-label", default="", help="y axis label")
 @click.option("--title", default="", help="plot title")
-@out_option("zenoreg_plot")
 def plot(csv_path, x_label, y_label, title, out):
     """Render a CSV time series (first column = x) as an SVG line plot."""
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -426,10 +390,7 @@ def plot(csv_path, x_label, y_label, title, out):
     series = [(name, x, data[:, i + 1]) for i, name in enumerate(header[1:])]
     svg_path = f"{out}.svg"
     emit_svg(svg_path, series, x_label=x_label or header[0], y_label=y_label, title=title)
-    manifest = RunManifest(subcommand="plot", parameters={"input": str(csv_path)})
-    manifest.outputs = [svg_path]
-    write_sidecar(f"{out}.json", manifest)
-    click.echo(f"wrote {svg_path}")
+    _emit(out, RunManifest(subcommand="plot", parameters={"input": str(csv_path)}, outputs=[svg_path]))
 
 
 if __name__ == "__main__":

@@ -413,6 +413,13 @@ def null_trajectory(
             f"conditioned norm increased at t = {series.t[i]:.6g} "
             f"({series.norm_sq[i - 1]:.12g} -> {series.norm_sq[i]:.12g})"
         )
+    # a vanished state would read F = 0, and saturation_time t = 0
+    gone = np.flatnonzero(series.norm_sq <= 0.0)
+    if gone.size:
+        raise IntegrationError(
+            f"conditioned state vanished (||psi||^2 underflowed to 0) at t = {series.t[gone[0]]:.6g}, "
+            f"before t_end = {t_end:g}"
+        )
     series.t_sat = series.saturation_time()
     return series
 
@@ -477,10 +484,10 @@ def jump_ensemble(
     Hamiltonian until ||psi||^2 <= r, which marks a molecular decay: the
     register is lost and the trajectory ends.  All trajectories start from
     the same state and a jump ends them, so the survivors share one
-    conditioned evolution.  That evolution is integrated once, recording
-    ||psi||^2 after every RK4 step; trajectory i jumps at the first step
-    whose norm is <= r_i, found by searching r_i in the running minimum of
-    the norms.  The cost is one trajectory plus ``n_traj`` threshold draws.
+    conditioned evolution.  That evolution is integrated once; trajectory i
+    jumps at the first RK4 step whose norm is <= r_i, found while the run
+    proceeds.  The cost is one trajectory plus ``n_traj`` threshold draws,
+    and the memory O(n_traj + max_samples) whatever the step count.
     ``workers`` is accepted for compatibility and has no effect.
     """
     if n_traj < 1:
@@ -490,20 +497,31 @@ def jump_ensemble(
     n_steps, stride, h, t = _plan_grid(t_end, step, _max_step(op), max_samples)
     _refuse_long_rk4(n_steps, t_end, step)
 
-    norm = np.empty(n_steps + 1)  # ||psi||^2 after steps 0..n_steps
-    c_t = np.empty(t.size, dtype=np.complex128)
-    for k, y in enumerate(_rk4(op.matrix * -1j, psi, h, n_steps, 1)):
-        norm[k] = np.vdot(y, y).real
-        if k % stride == 0:
-            c_t[k // stride] = y[0]
-    fid = _conditioned_population(c_t, norm[::stride])
-
     thresholds = np.array([_trajectory_threshold(seed, i) for i in range(n_traj)])
     # The first step with ||psi||^2 <= r is the first whose running minimum
-    # is <= r, and the running minimum is sorted even where the last bit of
-    # the norm is not monotone.  Step n_steps + 1 marks a survivor.
-    floor = np.minimum.accumulate(norm[1:])
-    jump_step = np.searchsorted(-floor, -thresholds, side="left") + 1
+    # is <= r, and the running minimum falls even where the last bit of the
+    # norm does not.  So with the thresholds in descending order, each step
+    # takes the next ones that its running minimum reaches.  Step
+    # n_steps + 1 marks a survivor.
+    order = np.argsort(-thresholds, kind="stable")
+    descending = thresholds[order].tolist()
+    jump_step = np.full(n_traj, n_steps + 1)
+    norm = np.empty(t.size)
+    c_t = np.empty(t.size, dtype=np.complex128)
+    floor, crossed = math.inf, 0
+    for k, y in enumerate(_rk4(op.matrix * -1j, psi, h, n_steps, 1)):
+        norm_k = float(np.vdot(y, y).real)
+        if k % stride == 0:
+            norm[k // stride] = norm_k
+            c_t[k // stride] = y[0]
+        if k == 0:
+            continue
+        floor = min(floor, norm_k)
+        while crossed < n_traj and descending[crossed] >= floor:
+            jump_step[order[crossed]] = k
+            crossed += 1
+    fid = _conditioned_population(c_t, norm)
+
     sample_step = np.arange(t.size) * stride
     alive = n_traj - np.searchsorted(np.sort(jump_step), sample_step, side="right")
 
@@ -559,7 +577,6 @@ class RMESeries:
     rho_tt: np.ndarray
     rho_ss_sum: np.ndarray
     trace: np.ndarray
-    final: ReducedDensityState
 
 
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
@@ -633,9 +650,6 @@ def reduced_master_equation(
         rho_tt=out_tt,
         rho_ss_sum=out_ss,
         trace=out_tt + out_ss,
-        final=ReducedDensityState(
-            rho_tt=float(y[0]), rho_ss=y[1 : 1 + m], rho_st=y[1 + m : 1 + 2 * m] + 1j * y[1 + 2 * m :]
-        ),
     )
 
 

@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 
 PLANCK_H = 6.62607015e-34  # J s
@@ -127,19 +127,7 @@ class RegimeReport:
         return self.omega_ok and self.strength_ok and self.edge_ok and self.holes_ok
 
     def as_dict(self) -> dict:
-        return {
-            "omega_ratio": self.omega_ratio,
-            "strength": self.strength,
-            "edge_ratio": self.edge_ratio,
-            "barrier": self.barrier,
-            "p_h": self.p_h,
-            "p_h_underflow": self.p_h_underflow,
-            "omega_ok": self.omega_ok,
-            "strength_ok": self.strength_ok,
-            "edge_ok": self.edge_ok,
-            "holes_ok": self.holes_ok,
-            "all_ok": self.all_ok,
-        }
+        return asdict(self) | {"all_ok": self.all_ok}
 
 
 def recoil_energy_hz(wavelength_m: float, mass_kg: float) -> float:

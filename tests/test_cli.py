@@ -37,6 +37,121 @@ def test_cli_import_leaves_out_unused_scipy_modules():
     assert done.stdout.strip() == "[]"
 
 
+DT_HELP = "RK4 step (units of 1/U); pins RK4, else an exact backend may run"
+MODELS = "choice[auto|full|eliminated]"
+
+# per subcommand, in --help order: option, type, default, shown default, help
+OPTION_TABLE = {
+    "params": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--out", "text", "zenoreg_params", True, "output base path"),
+    ],
+    "ground": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--dump-state", "boolean", False, None, "include the state amplitudes"),
+        ("--out", "text", "zenoreg_ground", True, "output base path"),
+    ],
+    "trajectory": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--dt", "float", None, None, DT_HELP),
+        ("--t-end", "text", "30", True, "end time (1/U, or '<x>/J')"),
+        ("--model", MODELS, "auto", True, None),
+        ("--out", "text", "zenoreg_trajectory", True, "output base path"),
+    ],
+    "ensemble": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--dt", "float", None, None, DT_HELP),
+        ("--t-end", "text", "10", True, None),
+        ("--traj", "integer", 1000, True, "trajectory count"),
+        ("--seed", "integer", 1234, True, None),
+        ("--model", MODELS, "full", True, None),
+        ("--out", "text", "zenoreg_ensemble", True, "output base path"),
+    ],
+    "nonselective": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--dt", "float", None, None, DT_HELP),
+        ("--t-end", "text", "100", True, None),
+        ("--out", "text", "zenoreg_nonselective", True, "output base path"),
+    ],
+    "efficiency": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--t-end", "text", "100", True, None),
+        ("--eta", "float...", None, None, "detector efficiencies (repeatable)"),
+        ("--out", "text", "zenoreg_efficiency", True, "output base path"),
+    ],
+    "free": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--n", "integer", None, None, "register size (odd)"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--dt", "float", None, None, DT_HELP),
+        ("--t-end", "text", "0.5/J", True, None),
+        ("--from-saturated", "boolean", False, None, "start from a measurement-saturated state"),
+        ("--out", "text", "zenoreg_free", True, "output base path"),
+    ],
+    "oracle": [
+        ("--config", "path", None, None, "key=value config file"),
+        ("--u-over-j", "float", None, None, "override the U/J ratio"),
+        ("--strict", "boolean", False, None, "fail on regime violations"),
+        ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
+        ("--dt", "float", None, None, DT_HELP),
+        ("--atoms", "integer", 5, True, "N = M for the oracle"),
+        ("--boundary", "choice[open|periodic]", "open", True, None),
+        ("--delta-over-u", "float", None, None, "override the trap scale"),
+        ("--t-end", "text", "1/J", True, None),
+        ("--out", "text", "zenoreg_oracle", True, "output base path"),
+    ],
+    "plot": [
+        ("--in", "path[exists]", None, None, "input CSV"),
+        ("--x-label", "text", "", None, "x axis label (defaults to first column name)"),
+        ("--y-label", "text", "", None, "y axis label"),
+        ("--title", "text", "", None, "plot title"),
+        ("--out", "text", "zenoreg_plot", True, "output base path"),
+    ],
+}
+
+
+def option_row(param):
+    info = param.to_info_dict()
+    kind = info["type"]["name"]
+    if "choices" in info["type"]:
+        kind += "[" + "|".join(info["type"]["choices"]) + "]"
+    if info["type"].get("exists"):
+        kind += "[exists]"
+    if info["multiple"]:
+        kind += "..."
+    return (info["opts"][0], kind, info["default"], param.show_default, info["help"])
+
+
+@pytest.mark.parametrize("command", OPTION_TABLE)
+def test_option_table(command):
+    assert set(main.commands) == set(OPTION_TABLE)
+    assert [option_row(param) for param in main.commands[command].params] == OPTION_TABLE[command]
+
+
 class TestParamsCommand:
     def test_reference_report(self, runner, tmp_path):
         out = tmp_path / "report"
@@ -163,6 +278,7 @@ class TestIntegrationErrorExitCode:
             (["trajectory", "--dt", "1e-3", "--t-end", "1e9"], "RK4 steps"),
             (["ensemble", "--t-end", "1e9"], "RK4 steps"),
             (["nonselective", "--t-end", "1e9"], "RK4 steps"),
+            (["trajectory", "--n", "5", "--t-end", "1e12"], "conditioned state vanished"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):

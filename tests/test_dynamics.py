@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -199,6 +200,20 @@ class TestJumpEnsemble:
         p_fail = 1.0 - fidelity(ground)
         fraction = np.isfinite(ens.jump_times).mean()
         assert 0.5 * p_fail < fraction < 1.3 * p_fail
+
+    def test_memory_does_not_grow_with_step_count(self):
+        # about 40k RK4 steps: a record of the norm after every step would
+        # alone take 320 kB
+        p = measurement_test_params()
+        kwargs = dict(n_traj=100, seed=1, model="full", max_samples=501)
+        jump_ensemble(p, 5, t_end=0.1, **kwargs)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            jump_ensemble(p, 5, t_end=20.0, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_survival_nonincreasing_from_one(self):
         p = measurement_test_params()
