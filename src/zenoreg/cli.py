@@ -141,6 +141,8 @@ SHARED_OPTIONS = {
 }
 # what ``_resolve`` reads
 RESOLVED = ("config", "n", "u-over-j", "strict")
+T_END_HELP = "end time (1/U, or '<x>/J')"
+MODEL_HELP = "full (with molecular states) or eliminated; auto: eliminated above n = 50, else full"
 
 
 @click.group(cls=_Main)
@@ -215,8 +217,10 @@ def ground(config, n, u_over_j, strict, dump_state, out):
 
 
 @_command("zenoreg_trajectory", *RESOLVED, "hz", "dt")
-@click.option("--t-end", default="30", show_default=True, help="end time (1/U, or '<x>/J')")
-@click.option("--model", type=click.Choice(["auto", "full", "eliminated"]), default="auto", show_default=True)
+@click.option("--t-end", default="30", show_default=True, help=T_END_HELP)
+@click.option(
+    "--model", type=click.Choice(["auto", "full", "eliminated"]), default="auto", show_default=True, help=MODEL_HELP
+)
 def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
     """Null-measurement trajectory from the ground state (conditioned F)."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -235,10 +239,12 @@ def trajectory(config, n, u_over_j, strict, hz, dt, t_end, model, out):
 
 
 @_command("zenoreg_ensemble", *RESOLVED, "hz", "dt")
-@click.option("--t-end", default="10", show_default=True)
+@click.option("--t-end", default="10", show_default=True, help=T_END_HELP)
 @click.option("--traj", type=int, default=1000, show_default=True, help="trajectory count")
-@click.option("--seed", type=int, default=1234, show_default=True)
-@click.option("--model", type=click.Choice(["auto", "full", "eliminated"]), default="full", show_default=True)
+@click.option("--seed", type=int, default=1234, show_default=True, help="seed of the per-trajectory threshold streams")
+@click.option(
+    "--model", type=click.Choice(["auto", "full", "eliminated"]), default="full", show_default=True, help=MODEL_HELP
+)
 def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out):
     """Jump Monte Carlo ensemble: survival and conditional fidelity."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -261,13 +267,14 @@ def ensemble(config, n, u_over_j, strict, hz, dt, t_end, traj, seed, model, out)
             "jump_histogram": {"edges": edges.tolist(), "counts": counts.tolist()},
             "failures": n_failed,
             "failure_fraction": n_failed / traj,
+            "diagnostics": result.diagnostics(),
         },
     )
     click.echo(f"failures: {n_failed}/{traj}")
 
 
 @_command("zenoreg_nonselective", *RESOLVED, "hz", "dt")
-@click.option("--t-end", default="100", show_default=True)
+@click.option("--t-end", default="100", show_default=True, help=T_END_HELP)
 def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
     """Nonselective decay: master equation (step --dt) vs exact Bloch system vs closed form."""
     cfg, p, _ = _resolve(config, n, u_over_j, strict)
@@ -286,12 +293,12 @@ def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
         manifest,
         [name, "rho_tt_master", "rho_tt_bloch", "rho_tt_closed", "trace_master"],
         [tcol, rme.rho_tt, bloch_tt, closed, rme.trace],
-        extra={"zeno_rate_over_u": zeno_decay_rate(p, n_reg)},
+        extra={"zeno_rate_over_u": zeno_decay_rate(p, n_reg), "diagnostics": rme.diagnostics()},
     )
 
 
 @_command("zenoreg_efficiency", *RESOLVED, "hz")
-@click.option("--t-end", default="100", show_default=True)
+@click.option("--t-end", default="100", show_default=True, help=T_END_HELP)
 @click.option("--eta", multiple=True, type=float, help="detector efficiencies (repeatable)")
 def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
     """Finite detector efficiency sweep of the long-time fidelity."""
@@ -313,7 +320,7 @@ def efficiency(config, n, u_over_j, strict, hz, t_end, eta, out):
 
 
 @_command("zenoreg_free", *RESOLVED, "hz", "dt")
-@click.option("--t-end", default="0.5/J", show_default=True)
+@click.option("--t-end", default="0.5/J", show_default=True, help=T_END_HELP)
 @click.option("--from-saturated", is_flag=True, help="start from a measurement-saturated state")
 def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
     """Free lattice evolution: closed-form fidelity vs restricted numerics."""
@@ -345,9 +352,11 @@ def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
 
 @_command("zenoreg_oracle", "config", "u-over-j", "strict", "hz", "dt")
 @click.option("--atoms", type=int, default=5, show_default=True, help="N = M for the oracle")
-@click.option("--boundary", type=click.Choice(["open", "periodic"]), default="open", show_default=True)
+@click.option(
+    "--boundary", type=click.Choice(["open", "periodic"]), default="open", show_default=True, help="lattice boundary"
+)
 @click.option("--delta-over-u", type=float, default=None, help="override the trap scale")
-@click.option("--t-end", default="1/J", show_default=True)
+@click.option("--t-end", default="1/J", show_default=True, help=T_END_HELP)
 def oracle(config, u_over_j, strict, hz, dt, atoms, boundary, delta_over_u, t_end, out):
     """Exact Bose-Hubbard evolution vs truncations and the closed form."""
     cfg, p, _ = _resolve(config, None, u_over_j, strict)

@@ -26,13 +26,16 @@ integrated Bloch system and the closed form agree exactly.
 
 Every level is a linear system dy/dt = G y with a constant generator G, and
 every one returns the same grid, linspace(0, t_end, max_samples), laid out
-by ``_plan_grid``, the one place a step is checked.  The fixed-step RK4
-kernel ``_rk4`` integrates the real generator of ``_rme_generator`` for the
-master equation, the jump ensemble's norm curve, and G = -i H for the
-wavefunction and the exact oracle whenever a step is given.  Without one,
-``_schrodinger`` may instead diagonalise H once and rebuild the samples
-exactly (``_spectral``), when a cost model predicts that to be clearly
-cheaper; the 4x4 Bloch system is exact, one matrix exponential a gap.
+by ``_plan_grid``, the one place a step is checked.  One backend chooser,
+``_propagate``, serves G = -i H (the wavefunction, the jump ensemble's
+conditioned state and the exact oracle) and the real generator of
+``_rme_generator`` (the master equation): a given step pins the fixed-step
+RK4 kernel ``_rk4``, the reference; without one, a cost model may instead
+diagonalise G once and rebuild the samples exactly (``_spectral``), when
+that is predicted clearly cheaper and the eigenvectors are well
+conditioned.  On the exact curve the ensemble's jump times are continuous,
+each bisected on the closed-form norm; under RK4 they are step times.  The
+4x4 Bloch system is exact, one matrix exponential a gap.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout.
@@ -44,7 +47,7 @@ resolve the fastest coherence rotation with 0.01/(U+|V_c|).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +73,14 @@ NORM_MONOTONE_TOL = 1e-9
 # solver: a 2048^2 complex matrix is 64 MiB, and the spectral backend holds
 # about four of them (H, V, V^-1 and LAPACK's workspace).
 DENSE_EIG_CUTOFF = 2048
-# Samples rebuilt per matrix product; a block is SPECTRAL_BLOCK x dim complex.
-SPECTRAL_BLOCK = 256
+# Samples rebuilt per matrix product.  The rebuild holds two blocks of
+# SPECTRAL_BLOCK x dim complex, the phases and the states.
+SPECTRAL_BLOCK = 128
 # Rebuilding psi(t) = V (a * exp(lam t)) rounds with a relative error of
 # about cond(V) eps.  The spectral samples are used only while that is below
 # NORM_MONOTONE_TOL, the norm rise ``null_trajectory`` treats as a fault.
 COND_V_LIMIT = NORM_MONOTONE_TOL / np.finfo(np.float64).eps
-# Cost model of one Schrödinger run, in seconds (see ``_spectral_is_cheaper``),
+# Cost model of one run of dy/dt = G y, in seconds (see ``_spectral_is_cheaper``),
 # fitted on a 2-vCPU x86-64 box with numpy's OpenBLAS: an RK4 step took
 # 26-41 us at dim 9 and 69-95 us at dim 1001 (nnz 3001); eigh took 0.6-0.8 s
 # at dim 1001 and 3.9-5.7 s at 2001; eig plus V^-1 took 2.4-3.2 s at dim
@@ -189,43 +193,63 @@ def _spectral_is_cheaper(op: SparseOperator, n_steps: int, n_samples: int) -> bo
     return SPECTRAL_MARGIN * spectral_s < rk4_s
 
 
-def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, psi: np.ndarray):
-    """Yield psi(t_k) = vecs (coef * exp(lam t_k)) for every t_k, written into
-    ``psi``, SPECTRAL_BLOCK samples per matrix product."""
-    for start in range(0, t.size, SPECTRAL_BLOCK):
-        phases = np.outer(t[start : start + SPECTRAL_BLOCK], lam)
-        np.exp(phases, out=phases)
-        phases *= coef
-        for row in phases @ vecs.T:
-            psi[:] = row
-            yield psi
+def _blocks(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray):
+    """Yield the rows vecs (coef * exp(lam t_k)) for SPECTRAL_BLOCK
+    consecutive t_k at a time, as views of two buffers reused per block."""
+    size = min(SPECTRAL_BLOCK, t.size)
+    phases = np.empty((size, lam.size), dtype=np.complex128)
+    rows = np.empty((size, vecs.shape[0]), dtype=np.complex128)
+    for start in range(0, t.size, size):
+        k = min(size, t.size - start)
+        # A broadcast ufunc allocates buffers as large as its output, so the
+        # outer product t_k lam_j is a matmul of t (cast to complex, as a
+        # mixed product would) and coef scales one row at a time; each of
+        # them rounds as the broadcast product does.
+        np.matmul(t[start : start + k, None].astype(np.complex128), lam[None, :], out=phases[:k])
+        np.exp(phases[:k], out=phases[:k])
+        for row in phases[:k]:
+            row *= coef
+        yield np.matmul(phases[:k], vecs.T, out=rows[:k])
+
+
+def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, y: np.ndarray):
+    """Yield y(t_k) = vecs (coef * exp(lam t_k)) for every t_k, written into
+    ``y``; a real ``y`` (a real generator) takes the real part."""
+    for rows in _blocks(vecs, coef, lam, t):
+        for row in rows if np.iscomplexobj(y) else rows.real:
+            y[:] = row
+            yield y
 
 
 @dataclass
 class Propagation:
-    """Samples of one Schrödinger run and the backend that produced them.
+    """Samples of one run of dy/dt = G y and the backend that produced them.
 
     Iterating yields the state buffer at every grid point.  ``backend`` is
-    "rk4", "eigh" (Hermitian H) or "eig"; ``cond_v`` is the 1-norm condition
-    number of the eigenvector matrix when "eig" ran, None otherwise.
+    "rk4", "eigh" (G = -i H with H Hermitian) or "eig"; ``cond_v`` is the
+    1-norm condition number of the eigenvector matrix when "eig" ran, None
+    otherwise.  A spectral run also gives ``blocks(times)``, the exact states
+    at any times, yielded as in ``_blocks``; it is None for RK4.
     """
 
     samples: Iterator[np.ndarray]
     backend: str = "rk4"
     cond_v: float | None = None
+    blocks: Callable[[np.ndarray], Iterator[np.ndarray]] | None = None
 
     def __iter__(self):
         return self.samples
 
 
-def _spectral(op: SparseOperator, psi: np.ndarray, t: np.ndarray) -> Propagation | None:
-    """Exact samples of i dpsi/dt = H psi from one dense diagonalisation.
+def _spectral(op, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
+    """Exact samples of dy/dt = scale M y from one dense diagonalisation of
+    M = ``op.to_dense()``.
 
-    H = V diag(w) V^-1 gives psi(t) = V (a * exp(-i w t)) with a = V^-1 psi(0);
+    M = V diag(w) V^-1 gives y(t) = V (a * exp(scale w t)) with a = V^-1 y(0);
     ``eigh`` runs, with V unitary, only when ``op`` is marked Hermitian
     (``SparseOperator.from_coo`` verifies the mark); any other operator takes
-    ``eig``, however small its anti-Hermitian part, since over a long run
-    that part still matters.
+    ``eig``, however small its non-normal part, since over a long run that
+    part still matters.
     Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
     to RK4.
     """
@@ -233,16 +257,56 @@ def _spectral(op: SparseOperator, psi: np.ndarray, t: np.ndarray) -> Propagation
     # (scipy links a second copy with its own thread pool)
     if op.hermitian:
         w, vecs = np.linalg.eigh(op.to_dense())
-        return Propagation(_rebuild(vecs, vecs.conj().T @ psi, -1j * w, t, psi), "eigh")
-    w, vecs = np.linalg.eig(op.to_dense())
-    try:
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:  # exactly defective H
-        return None
-    cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
-    if not cond_v <= COND_V_LIMIT:
-        return None
-    return Propagation(_rebuild(vecs, inv @ psi, -1j * w, t, psi), "eig", cond_v)
+        coef, cond_v = vecs.conj().T @ y, None
+    else:
+        w, vecs = np.linalg.eig(op.to_dense())
+        try:
+            inv = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:  # exactly defective M
+            return None
+        cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
+        if not cond_v <= COND_V_LIMIT:
+            return None
+        coef = inv @ y
+    lam = scale * w
+    return Propagation(
+        _rebuild(vecs, coef, lam, t, y),
+        "eigh" if cond_v is None else "eig",
+        cond_v,
+        lambda times: _blocks(vecs, coef, lam, times),
+    )
+
+
+def _propagate(
+    op,
+    scale: complex,
+    y: np.ndarray,
+    t_end: float,
+    dt: float | None,
+    max_samples: int,
+    max_step: float,
+    default_dt: float | None = None,
+):
+    """Output grid and sample propagation of dy/dt = scale M y, advancing ``y``.
+
+    ``op`` gives M: ``matrix`` (sparse), ``to_dense()``, ``dim`` and
+    ``hermitian``; a ``SparseOperator`` with scale -1j is i dpsi/dt = H psi.
+    A given ``dt`` selects RK4, the reference.  Without it the run is RK4 at
+    ``default_dt`` (``max_step`` if None; t_end when that is infinite) unless
+    ``_spectral_is_cheaper`` picks the exact backend and cond(V) allows it.
+    Either way the step is checked against ``max_step`` by ``_plan_grid``
+    and the samples land on the same grid.
+    """
+    step = dt if dt is not None else default_dt
+    if step is None:
+        step = max_step if math.isfinite(max_step) else t_end
+    n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
+    if dt is None and _spectral_is_cheaper(op, n_steps, t.size):
+        spectral = _spectral(op, scale, y, t)
+        if spectral is not None:
+            return t, spectral
+    _refuse_long_rk4(n_steps, t_end, step)
+    return t, Propagation(_rk4(op.matrix * scale, y, h, t.size - 1, stride))
 
 
 def _schrodinger(
@@ -253,25 +317,18 @@ def _schrodinger(
     max_samples: int,
     default_dt: float | None = None,
 ):
-    """Output grid and sample propagation of i dpsi/dt = H psi, advancing ``psi``.
+    """``_propagate`` for i dpsi/dt = H psi, H = ``op``, with its largest accepted step."""
+    return _propagate(op, -1j, psi, t_end, dt, max_samples, _max_step(op), default_dt)
 
-    A given ``dt`` selects RK4, the reference.  Without it the run is RK4 at
-    ``default_dt`` (the largest accepted step if None; t_end for a zero
-    operator) unless ``_spectral_is_cheaper`` picks the exact backend and
-    cond(V) allows it.  Either way the step is checked by ``_plan_grid`` and
-    the samples land on the same grid.
-    """
-    max_step = _max_step(op)
-    step = dt if dt is not None else default_dt
-    if step is None:
-        step = max_step if math.isfinite(max_step) else t_end
-    n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
-    if dt is None and _spectral_is_cheaper(op, n_steps, t.size):
-        spectral = _spectral(op, psi, t)
-        if spectral is not None:
-            return t, spectral
-    _refuse_long_rk4(n_steps, t_end, step)
-    return t, Propagation(_rk4(op.matrix * -1j, psi, h, t.size - 1, stride))
+
+def _norm_and_target(run: Propagation, size: int):
+    """||psi||^2 and the T amplitude psi[0] at each of the ``size`` samples of ``run``."""
+    norm = np.empty(size)
+    c_t = np.empty(size, dtype=np.complex128)
+    for i, y in enumerate(run):
+        norm[i] = np.vdot(y, y).real
+        c_t[i] = y[0]
+    return norm, c_t
 
 
 def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
@@ -279,14 +336,21 @@ def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     return np.divide(np.abs(c_t) ** 2, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0)
 
 
+class _Diagnosed:
+    """A result whose ``backend`` and ``cond_v`` say how it was propagated
+    (see ``Propagation``)."""
+
+    def diagnostics(self) -> dict:
+        """Propagation backend and cond(V), for a run's sidecar."""
+        return {"backend": self.backend, "cond_v": self.cond_v}
+
+
 @dataclass
-class TrajectorySeries:
+class TrajectorySeries(_Diagnosed):
     """Sampled fidelity and squared norm along one evolution.
 
     ``energy`` carries the sampled expectation <psi|H|psi>/<psi|psi> where
     the producer tracks it (Hermitian oracle runs); None otherwise.
-    ``backend`` and ``cond_v`` say how the samples were propagated (see
-    ``Propagation``).
     """
 
     t: np.ndarray
@@ -297,10 +361,6 @@ class TrajectorySeries:
     energy: np.ndarray | None = None
     backend: str = "rk4"
     cond_v: float | None = None
-
-    def diagnostics(self) -> dict:
-        """Propagation backend and cond(V), for a run's sidecar."""
-        return {"backend": self.backend, "cond_v": self.cond_v}
 
     def saturation_time(self, level: float = 0.999) -> float | None:
         """First time with F >= level * F(t_end)."""
@@ -338,11 +398,7 @@ def evolve(
         raise IntegrationError("state and operator dimensions differ")
     psi = amps0.astype(np.complex128, copy=True)
     t, run = _schrodinger(op, psi, t_end, dt, max_samples, default_dt)
-    norm = np.empty(t.size)
-    c_t = np.empty(t.size, dtype=np.complex128)
-    for i, y in enumerate(run):
-        norm[i] = np.vdot(y, y).real
-        c_t[i] = y[0]
+    norm, c_t = _norm_and_target(run, t.size)
     if embed is not None:
         final = embed(psi)
     else:
@@ -430,7 +486,7 @@ def null_trajectory(
 
 
 @dataclass
-class EnsembleResult:
+class EnsembleResult(_Diagnosed):
     """Statistics of a seeded jump Monte Carlo ensemble.
 
     ``jump_times`` holds one entry per trajectory (NaN if it survived).
@@ -452,6 +508,8 @@ class EnsembleResult:
     cond_fidelity: np.ndarray
     uncond_t_population: np.ndarray
     jump_times: np.ndarray
+    backend: str = "rk4"
+    cond_v: float | None = None
 
     def jump_histogram(self, bins: int = 50):
         finite = self.jump_times[np.isfinite(self.jump_times)]
@@ -484,8 +542,13 @@ def jump_ensemble(
     Hamiltonian until ||psi||^2 <= r, which marks a molecular decay: the
     register is lost and the trajectory ends.  All trajectories start from
     the same state and a jump ends them, so the survivors share one
-    conditioned evolution.  That evolution is integrated once; trajectory i
-    jumps at the first RK4 step whose norm is <= r_i, found while the run
+    conditioned evolution: the run, backend and samples that
+    ``null_trajectory`` makes with the same arguments, propagated once.
+    When that run is spectral, trajectory i is lost from the first sample
+    whose running-minimum norm is <= r_i and jumps at a continuous time, the
+    root of the exact norm curve in that sample's gap, bisected down to
+    adjacent floats.  Under RK4 (a given ``dt``, or the chooser's fallback)
+    it jumps at the first RK4 step whose norm is <= r_i, found while the run
     proceeds.  The cost is one trajectory plus ``n_traj`` threshold draws,
     and the memory O(n_traj + max_samples) whatever the step count.
     ``workers`` is accepted for compatibility and has no effect.
@@ -493,11 +556,38 @@ def jump_ensemble(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     model, op, psi, step, _ = _conditioned_problem(p, n, model)
-    step = step if dt is None else dt
-    n_steps, stride, h, t = _plan_grid(t_end, step, _max_step(op), max_samples)
-    _refuse_long_rk4(n_steps, t_end, step)
-
+    # the very run, and so the very samples, of ``null_trajectory``
+    t, run = _schrodinger(op, psi, t_end, dt, max_samples, step)
     thresholds = np.array([_trajectory_threshold(seed, i) for i in range(n_traj)])
+    if run.blocks is None:
+        step = step if dt is None else dt
+        norm, c_t, alive, jump_times = _rk4_jumps(op, psi, t_end, step, max_samples, thresholds)
+    else:
+        norm, c_t, alive, jump_times = _spectral_jumps(run, t, thresholds)
+    fid = _conditioned_population(c_t, norm)
+    survival = alive / n_traj
+    return EnsembleResult(
+        n_traj=n_traj,
+        seed=seed,
+        model=model,
+        t=t,
+        survival=survival,
+        cond_fidelity=np.where(alive > 0, fid, np.nan),
+        uncond_t_population=survival * fid,
+        jump_times=jump_times,
+        backend=run.backend,
+        cond_v=run.cond_v,
+    )
+
+
+def _rk4_jumps(
+    op: SparseOperator, psi: np.ndarray, t_end: float, step: float, max_samples: int, thresholds: np.ndarray
+):
+    """Sample norms and T amplitudes, survivor counts per sample and jump
+    times of the ensemble, by RK4: trajectory i jumps at the first step whose
+    norm is <= r_i, found while the run proceeds, so the memory does not grow
+    with the step count."""
+    n_steps, stride, h, t = _plan_grid(t_end, step, _max_step(op), max_samples)
     # The first step with ||psi||^2 <= r is the first whose running minimum
     # is <= r, and the running minimum falls even where the last bit of the
     # norm does not.  So with the thresholds in descending order, each step
@@ -505,7 +595,7 @@ def jump_ensemble(
     # n_steps + 1 marks a survivor.
     order = np.argsort(-thresholds, kind="stable")
     descending = thresholds[order].tolist()
-    jump_step = np.full(n_traj, n_steps + 1)
+    jump_step = np.full(thresholds.size, n_steps + 1)
     norm = np.empty(t.size)
     c_t = np.empty(t.size, dtype=np.complex128)
     floor, crossed = math.inf, 0
@@ -517,25 +607,44 @@ def jump_ensemble(
         if k == 0:
             continue
         floor = min(floor, norm_k)
-        while crossed < n_traj and descending[crossed] >= floor:
+        while crossed < thresholds.size and descending[crossed] >= floor:
             jump_step[order[crossed]] = k
             crossed += 1
-    fid = _conditioned_population(c_t, norm)
-
     sample_step = np.arange(t.size) * stride
-    alive = n_traj - np.searchsorted(np.sort(jump_step), sample_step, side="right")
+    alive = thresholds.size - np.searchsorted(np.sort(jump_step), sample_step, side="right")
+    return norm, c_t, alive, np.where(jump_step <= n_steps, jump_step * h, np.nan)
 
-    survival = alive / n_traj
-    return EnsembleResult(
-        n_traj=n_traj,
-        seed=seed,
-        model=model,
-        t=t,
-        survival=survival,
-        cond_fidelity=np.where(alive > 0, fid, np.nan),
-        uncond_t_population=survival * fid,
-        jump_times=np.where(jump_step <= n_steps, jump_step * h, np.nan),
-    )
+
+def _spectral_jumps(run: Propagation, t: np.ndarray, thresholds: np.ndarray):
+    """What ``_rk4_jumps`` returns, from a spectral run: trajectory i is lost
+    at the first sample whose running-minimum norm is <= r_i, and jumps at
+    the time in that sample's gap where the exact norm curve reaches r_i."""
+    norm, c_t = _norm_and_target(run, t.size)
+    # first sample k >= 1 with min(norm[1 : k + 1]) <= r; t.size for a survivor
+    floor = np.minimum.accumulate(norm[1:])
+    lost_at = 1 + np.searchsorted(-floor, -thresholds)
+    alive = thresholds.size - np.searchsorted(np.sort(lost_at), np.arange(t.size), side="right")
+    jump_times = np.full(thresholds.size, np.nan)
+    lost = np.flatnonzero(lost_at < t.size)
+    k = lost_at[lost]
+    jump_times[lost] = _bisect_norm(run.blocks, t[k - 1], t[k], thresholds[lost])
+    return norm, c_t, alive, jump_times
+
+
+def _bisect_norm(blocks, lo: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Times t in each bracket (lo, hi] where the norm N(t) = ||psi(t)||^2
+    of the exact states ``blocks`` yields falls to r: every bracket is
+    halved, keeping N(hi) <= r, until lo and hi are adjacent floats."""
+    lo, hi = lo.copy(), hi.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = np.flatnonzero((lo < mid) & (mid < hi))
+        if not live.size:
+            return hi
+        mid = mid[live]
+        below = np.concatenate([np.vecdot(b, b).real for b in blocks(mid)]) <= r[live]
+        hi[live[below]] = mid[below]
+        lo[live[~below]] = mid[~below]
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +681,26 @@ def ground_reduced_density(basis: RestrictedBasis, p: DerivedParams) -> ReducedD
 
 
 @dataclass
-class RMESeries:
+class RMESeries(_Diagnosed):
     t: np.ndarray
     rho_tt: np.ndarray
     rho_ss_sum: np.ndarray
     trace: np.ndarray
+    backend: str = "rk4"
+    cond_v: float | None = None
+
+
+@dataclass(frozen=True)
+class _RealGenerator:
+    """The master equation's real generator, read by ``_propagate`` as it
+    reads a (never Hermitian) ``SparseOperator``."""
+
+    matrix: scipy.sparse.csr_matrix
+    dim: int
+    hermitian: bool = False
+
+    def to_dense(self) -> np.ndarray:
+        return self.matrix.toarray()
 
 
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
@@ -627,19 +751,17 @@ def reduced_master_equation(
     basis = build_basis(n)
     if rho0 is None:
         rho0 = ground_reduced_density(basis, p)
-    if dt is None:
-        dt = eliminated_model_step(p)
     m = 2 * basis.n_bonds
     if rho0.rho_ss.shape != (m,) or rho0.rho_st.shape != (m,):
         raise IntegrationError("initial state does not match the register size")
     gen, max_step = _rme_generator(p, basis)
-    n_steps, stride, h, t = _plan_grid(t_end, dt, max_step, max_samples)
-    _refuse_long_rk4(n_steps, t_end, dt)
-
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
+    t, run = _propagate(
+        _RealGenerator(gen, gen.shape[0]), 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p)
+    )
     out_tt = np.empty(t.size)
     out_ss = np.empty(t.size)
-    for i, _ in enumerate(_rk4(gen, y, h, t.size - 1, stride)):
+    for i, _ in enumerate(run):
         out_tt[i] = y[0]
         out_ss[i] = y[1 : 1 + m].sum()
         if y[0] < -1e-6 or y[1 : 1 + m].min(initial=0.0) < -1e-6:
@@ -650,6 +772,8 @@ def reduced_master_equation(
         rho_tt=out_tt,
         rho_ss_sum=out_ss,
         trace=out_tt + out_ss,
+        backend=run.backend,
+        cond_v=run.cond_v,
     )
 
 

@@ -183,7 +183,7 @@ def exact_evolve_fidelity(
     energy <H>; the norm is conserved (Hermitian evolution) and reported
     for drift checks.  A given ``dt`` pins RK4, the reference; without it
     the evolution is exact by one dense ``eigh`` whenever the cost model in
-    ``dynamics._schrodinger`` finds that cheaper (``backend`` on the result).
+    ``dynamics._propagate`` finds that cheaper (``backend`` on the result).
     """
     if basis.n_atoms != basis.n_sites:
         raise ModelError("free-evolution fidelity requires N = M")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 import zenoreg
 from zenoreg.cli import main
+from zenoreg.dynamics import jump_ensemble
 from zenoreg.oracle import double_occupancy_evolve
 from zenoreg.params import derive_params, reference_config
 from zenoreg.runio import format_number
@@ -39,6 +41,8 @@ def test_cli_import_leaves_out_unused_scipy_modules():
 
 DT_HELP = "RK4 step (units of 1/U); pins RK4, else an exact backend may run"
 MODELS = "choice[auto|full|eliminated]"
+T_END_HELP = "end time (1/U, or '<x>/J')"
+MODEL_HELP = "full (with molecular states) or eliminated; auto: eliminated above n = 50, else full"
 
 # per subcommand, in --help order: option, type, default, shown default, help
 OPTION_TABLE = {
@@ -64,8 +68,8 @@ OPTION_TABLE = {
         ("--strict", "boolean", False, None, "fail on regime violations"),
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
         ("--dt", "float", None, None, DT_HELP),
-        ("--t-end", "text", "30", True, "end time (1/U, or '<x>/J')"),
-        ("--model", MODELS, "auto", True, None),
+        ("--t-end", "text", "30", True, T_END_HELP),
+        ("--model", MODELS, "auto", True, MODEL_HELP),
         ("--out", "text", "zenoreg_trajectory", True, "output base path"),
     ],
     "ensemble": [
@@ -75,10 +79,10 @@ OPTION_TABLE = {
         ("--strict", "boolean", False, None, "fail on regime violations"),
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
         ("--dt", "float", None, None, DT_HELP),
-        ("--t-end", "text", "10", True, None),
+        ("--t-end", "text", "10", True, T_END_HELP),
         ("--traj", "integer", 1000, True, "trajectory count"),
-        ("--seed", "integer", 1234, True, None),
-        ("--model", MODELS, "full", True, None),
+        ("--seed", "integer", 1234, True, "seed of the per-trajectory threshold streams"),
+        ("--model", MODELS, "full", True, MODEL_HELP),
         ("--out", "text", "zenoreg_ensemble", True, "output base path"),
     ],
     "nonselective": [
@@ -88,7 +92,7 @@ OPTION_TABLE = {
         ("--strict", "boolean", False, None, "fail on regime violations"),
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
         ("--dt", "float", None, None, DT_HELP),
-        ("--t-end", "text", "100", True, None),
+        ("--t-end", "text", "100", True, T_END_HELP),
         ("--out", "text", "zenoreg_nonselective", True, "output base path"),
     ],
     "efficiency": [
@@ -97,7 +101,7 @@ OPTION_TABLE = {
         ("--u-over-j", "float", None, None, "override the U/J ratio"),
         ("--strict", "boolean", False, None, "fail on regime violations"),
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
-        ("--t-end", "text", "100", True, None),
+        ("--t-end", "text", "100", True, T_END_HELP),
         ("--eta", "float...", None, None, "detector efficiencies (repeatable)"),
         ("--out", "text", "zenoreg_efficiency", True, "output base path"),
     ],
@@ -108,7 +112,7 @@ OPTION_TABLE = {
         ("--strict", "boolean", False, None, "fail on regime violations"),
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
         ("--dt", "float", None, None, DT_HELP),
-        ("--t-end", "text", "0.5/J", True, None),
+        ("--t-end", "text", "0.5/J", True, T_END_HELP),
         ("--from-saturated", "boolean", False, None, "start from a measurement-saturated state"),
         ("--out", "text", "zenoreg_free", True, "output base path"),
     ],
@@ -119,9 +123,9 @@ OPTION_TABLE = {
         ("--hz", "boolean", False, None, "report times in seconds instead of 1/U"),
         ("--dt", "float", None, None, DT_HELP),
         ("--atoms", "integer", 5, True, "N = M for the oracle"),
-        ("--boundary", "choice[open|periodic]", "open", True, None),
+        ("--boundary", "choice[open|periodic]", "open", True, "lattice boundary"),
         ("--delta-over-u", "float", None, None, "override the trap scale"),
-        ("--t-end", "text", "1/J", True, None),
+        ("--t-end", "text", "1/J", True, T_END_HELP),
         ("--out", "text", "zenoreg_oracle", True, "output base path"),
     ],
     "plot": [
@@ -276,7 +280,7 @@ class TestIntegrationErrorExitCode:
             (["oracle", "--atoms", "3", "--delta-over-u", "inf"], "--delta-over-u must be finite"),
             (["free", "--n", "5", "--u-over-j", "1e-300"], "--u-over-j = 1e-300 is too small"),
             (["trajectory", "--dt", "1e-3", "--t-end", "1e9"], "RK4 steps"),
-            (["ensemble", "--t-end", "1e9"], "RK4 steps"),
+            (["ensemble", "--dt", "1e-5", "--t-end", "1e9"], "RK4 steps"),
             (["nonselective", "--t-end", "1e9"], "RK4 steps"),
             (["trajectory", "--n", "5", "--t-end", "1e12"], "conditioned state vanished"),
         ],
@@ -331,6 +335,21 @@ class TestEnsembleCommand:
         assert "jump_histogram" in sidecar and sidecar["manifest"]["seed"] == 9
         data = np.loadtxt(f"{out}.csv", delimiter=",", skiprows=1)
         assert data[0, 1] == 1.0  # survival starts at one
+
+    def test_long_run_goes_spectral_and_loses_every_register(self, runner, tmp_path):
+        # without --dt no RK4 step is planned, so t_end = 1e9/U runs
+        out = tmp_path / "ens"
+        args = ["ensemble", "--n", "5", "--traj", "64", "--t-end", "1e9"]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        data = np.loadtxt(f"{out}.csv", delimiter=",", skiprows=1)
+        assert data[-1, 1] == 0.0
+        sidecar = read_json(f"{out}.json")
+        assert sidecar["failures"] == 64 and sum(sidecar["jump_histogram"]["counts"]) == 64
+        assert sidecar["diagnostics"]["backend"] == "eig"
+        p = derive_params(replace(reference_config(), register_sites=5))
+        ens = jump_ensemble(p, 5, n_traj=64, seed=1234, t_end=1e9)
+        assert np.all((ens.jump_times > 0.0) & (ens.jump_times <= 1e9))
 
 
 class TestFreeAndOracleCommands:
@@ -402,6 +421,23 @@ class TestDiagnostics:
             assert diagnostics["cond_v"] >= 1.0
         else:
             assert diagnostics["cond_v"] is None
+
+
+    @pytest.mark.parametrize(
+        "args, backend",
+        [
+            (["ensemble", "--n", "5", "--traj", "16", "--t-end", "0.01"], "eig"),
+            (["ensemble", "--n", "5", "--traj", "16", "--t-end", "0.01", "--dt", "1e-5"], "rk4"),
+            (["nonselective", "--n", "5", "--t-end", "20"], "eig"),
+            (["nonselective", "--n", "5", "--t-end", "20", "--dt", "1e-3"], "rk4"),
+        ],
+    )
+    def test_ensemble_and_master_equation_sidecars(self, runner, tmp_path, args, backend):
+        out = tmp_path / "run"
+        assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+        diagnostics = read_json(f"{out}.json")["diagnostics"]
+        assert diagnostics["backend"] == backend
+        assert (diagnostics["cond_v"] >= 1.0) if backend == "eig" else diagnostics["cond_v"] is None
 
 
 class TestEfficiencyCommand:

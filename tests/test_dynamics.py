@@ -26,8 +26,10 @@ from zenoreg.dynamics import (
     reduced_master_equation,
     zeno_decay_rate,
     _conditioned_problem,
+    _blocks,
     _max_step,
     _plan_grid,
+    _rk4,
     _rme_generator,
     _schrodinger,
     _spectral_is_cheaper,
@@ -499,6 +501,110 @@ class TestKernelProperties:
         p = replace(measurement_test_params(n, strength), delta_over_u=delta, vc_over_u=vc)
         series = reduced_master_equation(p, n, t_end=2.0, max_samples=201)
         assert np.all(np.diff(series.trace) <= 1e-12)
+
+
+def thresholds_of(seed: int, n_traj: int) -> np.ndarray:
+    return np.array([np.random.default_rng([seed, i]).random() for i in range(n_traj)])
+
+
+def rk4_reference_ensemble(p, n: int, n_traj: int, seed: int, t_end: float, model: str, max_samples: int):
+    """The RK4 jump ensemble written out with every step kept: trajectory i
+    jumps at the first step whose running-minimum norm is <= r_i.
+    Returns survival, cond_fidelity and jump_times."""
+    _, op, psi, step, _ = _conditioned_problem(p, n, model)
+    n_steps, stride, h, _ = _plan_grid(t_end, step, _max_step(op), max_samples)
+    states = np.array([y.copy() for y in _rk4(op.matrix * -1j, psi, h, n_steps, 1)])
+    norms = np.array([np.vdot(y, y).real for y in states])
+    first = 1 + np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds_of(seed, n_traj))
+    alive = np.array([(first > k).sum() for k in range(0, n_steps + 1, stride)])
+    fid = np.abs(states[::stride, 0]) ** 2 / norms[::stride]
+    return alive / n_traj, np.where(alive > 0, fid, np.nan), np.where(first <= n_steps, first * h, np.nan)
+
+
+class TestSpectralEnsemble:
+    # the bench ensemble setting at seeds 0 and 1, and criterion 5's
+    SETTINGS = [(0, 8192, 5.0), (1, 8192, 5.0), (2024, 10_000, 10.0)]
+
+    @pytest.mark.parametrize("seed, n_traj, t_end", SETTINGS)
+    def test_matches_the_pinned_rk4_ensemble(self, seed, n_traj, t_end):
+        p = measurement_test_params()
+        kwargs = dict(n_traj=n_traj, seed=seed, t_end=t_end, model="full", max_samples=11)
+        exact = jump_ensemble(p, 5, **kwargs)
+        pinned = jump_ensemble(p, 5, dt=full_model_step(p), **kwargs)
+        assert exact.backend == "eig" and pinned.backend == "rk4"
+        assert np.array_equal(exact.survival, pinned.survival)
+        lost = np.isfinite(pinned.jump_times)
+        assert lost.any() and np.array_equal(np.isfinite(exact.jump_times), lost)
+        # RK4 takes the first step at or past the crossing, so the exact time
+        # lies within one step before it
+        _, _, h, _ = _plan_grid(t_end, full_model_step(p), math.inf, 11)
+        gap = pinned.jump_times[lost] - exact.jump_times[lost]
+        assert np.all((gap >= 0.0) & (gap <= h))
+
+    @pytest.mark.parametrize("seed, n_traj, t_end", SETTINGS)
+    def test_jump_times_bracket_their_thresholds(self, seed, n_traj, t_end):
+        # N(t*) <= r < N(t* - tol) on the exact norm curve, up to the
+        # rounding of one evaluation of N
+        p = measurement_test_params()
+        ens = jump_ensemble(p, 5, n_traj=n_traj, seed=seed, t_end=t_end, model="full", max_samples=11)
+        _, op, psi, step, _ = _conditioned_problem(p, 5, "full")
+        _, run = _schrodinger(op, psi, t_end, None, 11, step)
+
+        def norm(times):
+            return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
+
+        lost = np.isfinite(ens.jump_times)
+        r, t_star = thresholds_of(seed, n_traj)[lost], ens.jump_times[lost]
+        rounding = 4.0 * np.finfo(float).eps
+        assert np.all(norm(t_star) <= r + rounding)
+        assert np.all(r < norm(t_star - 1e-11 * t_end))
+        # continuous times, not multiples of the RK4 step
+        _, _, h, _ = _plan_grid(t_end, step, math.inf, 11)
+        assert np.any(np.abs(t_star / h - np.round(t_star / h)) > 1e-3)
+
+    @pytest.mark.parametrize("model, max_samples", [("full", 6), ("eliminated", 5000)])
+    def test_pinned_step_keeps_the_rk4_ensemble(self, model, max_samples):
+        p = measurement_test_params()
+        kwargs = dict(n_traj=1100, seed=3, t_end=2.0, model=model, max_samples=max_samples)
+        step = full_model_step(p) if model == "full" else eliminated_model_step(p)
+        pinned = jump_ensemble(p, 5, dt=step, **kwargs)
+        survival, cond_fidelity, jump_times = rk4_reference_ensemble(p, 5, **kwargs)
+        assert np.array_equal(pinned.survival, survival)
+        assert np.array_equal(pinned.cond_fidelity, cond_fidelity, equal_nan=True)
+        assert np.array_equal(pinned.jump_times, jump_times, equal_nan=True)
+
+    def test_rebuild_rounds_as_the_broadcast_products(self):
+        # the block is built without broadcast ufuncs; it must round as they do
+        rng = np.random.default_rng(4)
+        for dim, n_times in [(9, 11), (25, 300), (126, 2)]:
+            vecs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            coef = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            lam = -rng.random(dim) - 1j * rng.standard_normal(dim)
+            t = np.linspace(0.0, 3.0, n_times)
+            rebuilt = np.concatenate([b.copy() for b in _blocks(vecs, coef, lam, t)])
+            expected = (np.exp(np.outer(t, lam)) * coef) @ vecs.T
+            assert np.array_equal(rebuilt, expected)
+
+
+class TestSpectralMasterEquation:
+    @pytest.mark.parametrize("n, delta", [(3, 0.0), (5, 1e-4), (5, 0.0), (7, 0.01), (21, 1e-4), (21, 0.0)])
+    def test_matches_the_pinned_rk4_run(self, n, delta):
+        p = replace(measurement_test_params(n), delta_over_u=delta)
+        kwargs = dict(t_end=10.0, max_samples=101)
+        exact = reduced_master_equation(p, n, **kwargs)
+        pinned = reduced_master_equation(p, n, dt=eliminated_model_step(p), **kwargs)
+        assert exact.backend == "eig" and 1.0 <= exact.cond_v < 1e6
+        assert pinned.backend == "rk4" and pinned.cond_v is None
+        assert np.max(np.abs(exact.rho_tt - pinned.rho_tt)) <= 1e-10
+        assert np.max(np.abs(exact.trace - pinned.trace)) <= 1e-10
+        assert np.all(np.diff(exact.trace) <= 1e-12)
+
+    def test_register_scale_stays_on_rk4(self, reference_params):
+        # dim 3001 > DENSE_EIG_CUTOFF: the CLI's default nonselective run
+        gen, _ = _rme_generator(reference_params, build_basis(501))
+        assert gen.shape[0] > DENSE_EIG_CUTOFF
+        series = reduced_master_equation(reference_params, 501, t_end=0.01, max_samples=3)
+        assert series.backend == "rk4"
 
 
 def reference_register(p, model: str, t_end: float):
