@@ -51,7 +51,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .params import DerivedParams
 from .register import (
@@ -188,7 +187,7 @@ def _spectral_is_cheaper(op: SparseOperator, n_steps: int, n_samples: int) -> bo
     d = op.dim
     if d > DENSE_EIG_CUTOFF:
         return False
-    rk4_s = n_steps * (RK4_STEP_S + RK4_NNZ_S * op.matrix.nnz)
+    rk4_s = n_steps * (RK4_STEP_S + RK4_NNZ_S * op.nnz)
     spectral_s = (EIGH_S if op.hermitian else EIG_S) * d**3 + REBUILD_S * n_samples * d**2
     return SPECTRAL_MARGIN * spectral_s < rk4_s
 
@@ -241,7 +240,7 @@ class Propagation:
         return self.samples
 
 
-def _spectral(op, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
+def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
     """Exact samples of dy/dt = scale M y from one dense diagonalisation of
     M = ``op.to_dense()``.
 
@@ -278,7 +277,7 @@ def _spectral(op, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation |
 
 
 def _propagate(
-    op,
+    op: SparseOperator,
     scale: complex,
     y: np.ndarray,
     t_end: float,
@@ -289,8 +288,7 @@ def _propagate(
 ):
     """Output grid and sample propagation of dy/dt = scale M y, advancing ``y``.
 
-    ``op`` gives M: ``matrix`` (sparse), ``to_dense()``, ``dim`` and
-    ``hermitian``; a ``SparseOperator`` with scale -1j is i dpsi/dt = H psi.
+    M = ``op``; scale -1j makes it i dpsi/dt = H psi.
     A given ``dt`` selects RK4, the reference.  Without it the run is RK4 at
     ``default_dt`` (``max_step`` if None; t_end when that is infinite) unless
     ``_spectral_is_cheaper`` picks the exact backend and cond(V) allows it.
@@ -690,38 +688,32 @@ class RMESeries(_Diagnosed):
     cond_v: float | None = None
 
 
-@dataclass(frozen=True)
-class _RealGenerator:
-    """The master equation's real generator, read by ``_propagate`` as it
-    reads a (never Hermitian) ``SparseOperator``."""
-
-    matrix: scipy.sparse.csr_matrix
-    dim: int
-    hermitian: bool = False
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
-    """Real generator G of ``reduced_master_equation`` on
-    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST], and its largest accepted step."""
+    """Real (float64) generator G of ``reduced_master_equation`` on
+    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST], and its largest accepted step.
+    Zero entries (J = 0, kappa = 0, a zero rate or energy) are left out."""
     m = 2 * basis.n_bonds
     e_plus_vc = basis.pair_energies(p.delta_over_u) + p.vc_over_u
     kap_coh = coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     two_kappa = 2.0 * p.kappa_over_u
     sqrt2j = math.sqrt(2.0) * p.j_over_u
 
-    eye, diag, ones = scipy.sparse.identity(m), scipy.sparse.diags, np.ones((m, 1))
-    gen = scipy.sparse.bmat(
-        [
-            [None, None, None, -2.0 * sqrt2j * ones.T],
-            [None, -two_kappa * eye, None, 2.0 * sqrt2j * eye],
-            [None, None, diag(-kap_coh), diag(e_plus_vc)],
-            [sqrt2j * ones, -sqrt2j * eye, diag(-e_plus_vc), diag(-kap_coh)],
-        ],
-        format="csr",
-    )
+    tt, ss = 0, 1 + np.arange(m)
+    re, im = ss + m, ss + 2 * m
+    blocks = [  # row, column, value; one entry per pair state
+        (tt, im, -2.0 * sqrt2j),
+        (ss, ss, -two_kappa),
+        (ss, im, 2.0 * sqrt2j),
+        (re, re, -kap_coh),
+        (re, im, e_plus_vc),
+        (im, tt, sqrt2j),
+        (im, ss, -sqrt2j),
+        (im, re, -e_plus_vc),
+        (im, im, -kap_coh),
+    ]
+    rows, cols, vals = (np.concatenate([np.broadcast_to(b[i], (m,)) for b in blocks]) for i in range(3))
+    keep = vals != 0
+    gen = SparseOperator._canonical(1 + 3 * m, rows[keep], cols[keep], vals[keep])
     # frequency scale for the step refusal: fastest rotation + damping
     omega_max = float(np.max(e_plus_vc) + np.max(kap_coh) + two_kappa + 4.0 * sqrt2j)
     return gen, 0.05 / omega_max
@@ -746,7 +738,11 @@ def reduced_master_equation(
         d rho_SS,j/dt = 2 s Im rho_ST,j - 2 kappa rho_SS,j
         d rho_ST,j/dt = -(i E_j + kappa_j) rho_ST,j + i s (rho_TT - rho_SS,j)
 
-    The trace rho_TT + sum rho_SS is nonincreasing.
+    d(trace)/dt = -2 kappa sum rho_SS, but the pair-pair coherences
+    rho_{S_j S_k} are dropped, so the equation is not of Lindblad form and
+    rho_SS can go negative: the trace rho_TT + sum rho_SS may rise, slightly,
+    at strong measurement over long runs, and a population below -1e-6
+    stops the run.
     """
     basis = build_basis(n)
     if rho0 is None:
@@ -756,9 +752,7 @@ def reduced_master_equation(
         raise IntegrationError("initial state does not match the register size")
     gen, max_step = _rme_generator(p, basis)
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
-    t, run = _propagate(
-        _RealGenerator(gen, gen.shape[0]), 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p)
-    )
+    t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p))
     out_tt = np.empty(t.size)
     out_ss = np.empty(t.size)
     for i, _ in enumerate(run):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
 
 from .params import DerivedParams
 
@@ -125,10 +124,15 @@ def pair_state_energy(j, sign, u: float, delta: float):
 
 @dataclass
 class SparseOperator:
-    """Complex sparse matrix in coordinate form with deterministic ordering.
+    """Sparse matrix in canonical coordinate form: entries sorted by
+    (row, col), each (row, col) once, explicit zeros kept.
 
-    Only the matrix-vector product is needed on large instances; a CSR
-    matrix is cached for it.
+    Everything but ``matrix`` is plain numpy and gives scipy's CSR results
+    bit for bit (an entry given three or more times may sum in another
+    order); ``matrix``, the CSR form that the RK4 kernel and the Lanczos
+    solver take, is built (and scipy.sparse imported) only on first use.
+    ``from_coo`` gives complex128 values; the master equation's generator is
+    float64.
     """
 
     dim: int
@@ -139,14 +143,21 @@ class SparseOperator:
 
     @classmethod
     def from_coo(cls, dim: int, rows, cols, vals, hermitian: bool = False) -> "SparseOperator":
+        return cls._canonical(dim, rows, cols, np.asarray(vals, dtype=np.complex128), hermitian)
+
+    @classmethod
+    def _canonical(cls, dim: int, rows, cols, vals: np.ndarray, hermitian: bool = False) -> "SparseOperator":
+        """The operator with entries ``vals`` at (``rows``, ``cols``), of
+        ``vals``' dtype: sorted by (row, col), so serialized operators are
+        reproducible, with each run of equal (row, col) summed once."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.complex128)
         if rows.size and (rows.min() < 0 or rows.max() >= dim or cols.min() < 0 or cols.max() >= dim):
             raise ModelError("sparse entry index out of range")
-        # fixed (row, col) ordering so serialized operators are reproducible
         order = np.lexsort((cols, rows))
-        op = cls(dim=dim, rows=rows[order], cols=cols[order], vals=vals[order], hermitian=hermitian)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        starts = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+        op = cls(dim, rows[starts], cols[starts], np.add.reduceat(vals, starts), hermitian)
         if hermitian and not op.is_hermitian():
             raise ModelError("operator marked hermitian is not")
         return op
@@ -156,32 +167,59 @@ class SparseOperator:
         rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
         return cls.from_coo(dim, rows, cols, vals, hermitian)
 
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
     @cached_property
-    def matrix(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
-        )
+    def matrix(self):
+        """CSR form (scipy.sparse.csr_matrix), for RK4 and ``eigsh``."""
+        import scipy.sparse  # only here, to keep it out of the package import
+
+        return scipy.sparse.csr_matrix((self.vals, (self.rows, self.cols)), shape=self.shape)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.dot(x)
+        """The (complex) product with ``x``, each row summed from zero in
+        column order as CSR's kernel does.  The entry products are formed
+        from real parts, as there; numpy's complex multiply may round
+        differently."""
+        a, b = self.vals, np.asarray(x)[self.cols]
+        out = np.empty(self.dim, dtype=np.complex128)
+        out.real = np.bincount(self.rows, a.real * b.real - a.imag * b.imag, self.dim)
+        out.imag = np.bincount(self.rows, a.real * b.imag + a.imag * b.real, self.dim)
+        return out
+
+    __matmul__ = matvec
 
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros(self.shape, dtype=self.vals.dtype)
+        out[self.rows, self.cols] += self.vals  # onto zeros, as CSR's toarray: -0.0 reads 0.0
+        return out
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        diff = self.matrix - self.matrix.conjugate().transpose()
-        if diff.nnz == 0:
-            return True
-        return np.max(np.abs(diff.data)) <= tol
+        diff = SparseOperator._canonical(
+            self.dim,
+            np.concatenate((self.rows, self.cols)),
+            np.concatenate((self.cols, self.rows)),
+            np.concatenate((self.vals, -self.vals.conj())),
+        )
+        return bool(np.abs(diff.vals).max(initial=0.0) <= tol)
 
     def frequency_bound(self) -> float:
         """max |diagonal| + max off-diagonal row sum; bounds the spectrum.
 
-        Read from the CSR matrix, where duplicate entries are already summed.
-        """
-        absmat = abs(self.matrix)
-        diag = absmat.diagonal()
-        row_sums = np.asarray(absmat.sum(axis=1)).ravel() - diag
+        Row sums are ``np.add.reduceat`` over the rows, as scipy's CSR sum."""
+        absval = np.abs(self.vals)
+        on_diag = self.rows == self.cols
+        diag = np.bincount(self.rows[on_diag], absval[on_diag], self.dim)
+        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        row_sums = np.zeros(self.dim)
+        row_sums[self.rows[starts]] = np.add.reduceat(absval, starts)
+        row_sums -= diag
         return float(diag.max(initial=0.0) + row_sums.max(initial=0.0))
 
 

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import zenoreg
+from conftest import measurement_test_params
 from zenoreg.cli import main
 from zenoreg.dynamics import jump_ensemble
 from zenoreg.oracle import double_occupancy_evolve
@@ -33,10 +34,36 @@ def test_cli_import_leaves_out_unused_scipy_modules():
     # where used, so the CLI's import does not pay their memory
     src = str(Path(zenoreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, zenoreg.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.special') if m in sys.modules))"
+    code = "import sys, zenoreg.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.sparse', 'scipy.sparse.linalg', 'scipy.special') if m in sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_spectral_runs_leave_out_scipy_sparse(tmp_path):
+    # the ensemble workload's two library calls at n = 5 and the CLI oracle
+    # run spectral, which needs no CSR matrix, so scipy.sparse stays unloaded
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import json, sys
+import zenoreg
+from zenoreg import DerivedParams
+from zenoreg.cli import main
+p = {measurement_test_params()!r}
+ens = zenoreg.jump_ensemble(p, 5, n_traj=64, seed=0, t_end=5.0, model="full", max_samples=11)
+rme = zenoreg.reduced_master_equation(p, 5, t_end=5.0, max_samples=11)
+main(["oracle", "--atoms", "3", "--out", {str(tmp_path / "oracle")!r}], standalone_mode=False)
+with open({str(tmp_path / "oracle.json")!r}, encoding="utf-8") as fh:
+    oracle = json.load(fh)["diagnostics"]
+print(ens.backend, rme.backend, oracle["f_exact"]["backend"], oracle["f_docc"]["backend"])
+print("scipy.sparse" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    backends, loaded = done.stdout.splitlines()[-2:]  # after the CLI's "wrote ..." line
+    assert backends.split() == ["eig", "eig", "eigh", "eigh"]
+    assert loaded == "False"
 
 
 DT_HELP = "RK4 step (units of 1/U); pins RK4, else an exact backend may run"

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -272,6 +273,20 @@ class TestReducedMasterEquation:
         series = reduced_master_equation(reference_params, 21, t_end=10.0, max_samples=101)
         assert np.all(np.diff(series.trace) <= 1e-12)
 
+    def test_trace_can_rise(self):
+        # without the pair-pair coherences the equation is not of Lindblad
+        # form, so its trace need not fall: at strong measurement it rises
+        # between samples of a long run, on RK4 as on eig
+        p = replace(measurement_test_params(5, 4.9), delta_over_u=0.0, vc_over_u=10.8)
+        kwargs = dict(t_end=50.0, max_samples=201)
+        exact = reduced_master_equation(p, 5, **kwargs)
+        pinned = reduced_master_equation(p, 5, dt=eliminated_model_step(p), **kwargs)
+        assert exact.backend == "eig" and pinned.backend == "rk4"
+        for series in (exact, pinned):
+            rise = np.diff(series.trace)
+            assert rise.max() == pytest.approx(1.26e-7, rel=0.01)
+            assert series.t[1 + rise.argmax()] == 18.5
+
     def test_reference_decay_rate(self, reference_params):
         series = reduced_master_equation(reference_params, 501, t_end=80.0, max_samples=401)
         late = series.t >= 40.0
@@ -402,6 +417,57 @@ class TestMasterEquationGenerator:
         d_st = -(1j * energy + kappa_j) * rho_st + 1j * s * (rho_tt - rho_ss)
         expected = np.concatenate(([d_tt], d_ss, d_st.real, d_st.imag))
         assert np.max(np.abs(gen @ y - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize(
+        "n, delta, zeroed",
+        [(5, 0.0, ()), (5, 0.01, ()), (5, 1e-4, ("j_over_u",)), (5, 1e-4, ("kappa_over_u", "omega_m_over_u")),
+         (51, 1e-4, ()), (501, 0.0, ()), (501, 1e-4, ())],
+    )
+    def test_matches_block_assembly(self, n, delta, zeroed):
+        # the same entries as the block assembly, zero entries left out alike
+        p = replace(measurement_test_params(n), delta_over_u=delta, **dict.fromkeys(zeroed, 0.0))
+        gen, _ = _rme_generator(p, build_basis(n))
+        ref = block_generator(p, build_basis(n))
+        assert gen.vals.dtype == np.float64
+        assert gen.nnz == ref.nnz
+        assert np.array_equal(gen.to_dense(), ref.toarray())
+
+    def test_pinned_rk4_run_is_the_block_assembly_run(self):
+        # a given step runs RK4 on the CSR matrix of the block assembly, bit for bit
+        n, t_end, samples = 21, 5.0, 21
+        p = measurement_test_params(n)
+        dt = eliminated_model_step(p)
+        series = reduced_master_equation(p, n, t_end=t_end, dt=dt, max_samples=samples)
+        basis = build_basis(n)
+        rho0 = ground_reduced_density(basis, p)
+        y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
+        _, max_step = _rme_generator(p, basis)
+        _, stride, h, t = _plan_grid(t_end, dt, max_step, samples)
+        m = 2 * (n - 1)
+        ref = np.array([(y[0], y[1 : 1 + m].sum()) for y in _rk4(block_generator(p, basis), y, h, t.size - 1, stride)])
+        assert series.backend == "rk4"
+        assert np.array_equal(series.rho_tt, ref[:, 0])
+        assert np.array_equal(series.rho_ss_sum, ref[:, 1])
+
+
+def block_generator(p, basis):
+    """The master equation's generator assembled from its 4 x 4 blocks by
+    ``scipy.sparse.bmat``: the reference for ``_rme_generator``."""
+    m = 2 * basis.n_bonds
+    e_plus_vc = basis.pair_energies(p.delta_over_u) + p.vc_over_u
+    kap_coh = coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
+    two_kappa = 2.0 * p.kappa_over_u
+    sqrt2j = math.sqrt(2.0) * p.j_over_u
+    eye, diag, ones = scipy.sparse.identity(m), scipy.sparse.diags, np.ones((m, 1))
+    return scipy.sparse.bmat(
+        [
+            [None, None, None, -2.0 * sqrt2j * ones.T],
+            [None, -two_kappa * eye, None, 2.0 * sqrt2j * eye],
+            [None, None, diag(-kap_coh), diag(e_plus_vc)],
+            [sqrt2j * ones, -sqrt2j * eye, diag(-e_plus_vc), diag(-kap_coh)],
+        ],
+        format="csr",
+    )
 
 
 @st.composite

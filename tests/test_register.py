@@ -3,9 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import free_params
+from zenoreg.oracle import build_bose_hubbard, fock_basis
 from zenoreg.register import (
+    HERMITIAN_TOL,
     ModelError,
     SparseOperator,
     StateVector,
@@ -341,3 +346,91 @@ class TestSparseOperator:
         split = SparseOperator.from_triplets(2, [(0, 0, 3.0 + 0j), (0, 0, -1j)] + rest)
         merged = SparseOperator.from_triplets(2, [(0, 0, 3.0 - 1j)] + rest)
         assert split.frequency_bound() == merged.frequency_bound()
+
+
+@st.composite
+def coo_inputs(draw):
+    """COO input of dim 1-40: entries drawn from a pool of (row, col) pairs,
+    so some repeat, with exact zeros among the values and, half the time,
+    the conjugate transposed entries appended (a Hermitian operator)."""
+    dim = draw(st.integers(1, 40))
+    index = st.integers(0, dim - 1)
+    pool = draw(st.lists(st.tuples(index, index), min_size=1, max_size=30))
+    value = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False))
+    entries = draw(st.lists(st.tuples(st.sampled_from(pool), value), max_size=80))
+    rows = [r for (r, _), _ in entries]
+    cols = [c for (_, c), _ in entries]
+    vals = [v for _, v in entries]
+    if draw(st.booleans()):
+        rows, cols, vals = rows + cols, cols + rows, vals + [v.conjugate() for v in vals]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return dim, np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64), np.array(vals, dtype=complex), x
+
+
+def csr_frequency_bound(ref) -> float:
+    absmat = abs(ref)
+    diag = absmat.diagonal()
+    row_sums = np.asarray(absmat.sum(axis=1)).ravel() - diag
+    return float(diag.max(initial=0.0) + row_sums.max(initial=0.0))
+
+
+def csr_is_hermitian(ref) -> bool:
+    diff = ref - ref.conjugate().transpose()
+    return diff.nnz == 0 or np.max(np.abs(diff.data)) <= HERMITIAN_TOL
+
+
+def assert_matches_csr(op: SparseOperator, ref, x: np.ndarray) -> None:
+    """Every numpy method of ``op`` equals the CSR computation bit for bit."""
+    assert op.nnz == ref.nnz
+    assert np.array_equal(op.to_dense(), ref.toarray())
+    assert np.array_equal(op.matvec(x), ref.dot(x))
+    assert np.array_equal(op.matvec(x.real), ref.dot(x.real))
+    assert op.frequency_bound() == csr_frequency_bound(ref)
+    assert op.is_hermitian() == csr_is_hermitian(ref)
+
+
+class TestNumpyOperatorMatchesCSR:
+    # a row whose sum rounds one way added in order, another as reduceat adds
+    ROW = (4, np.zeros(3, dtype=np.int64), np.arange(1, 4), np.array([1.0, 1e-16, 1e-16], dtype=complex), np.ones(4))
+
+    @settings(max_examples=300)
+    @given(coo=coo_inputs())
+    @example(coo=ROW)
+    def test_random_coo(self, coo):
+        dim, rows, cols, vals, x = coo
+        op = SparseOperator.from_coo(dim, rows, cols, vals)
+        ref = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+        _, repeats = np.unique(rows * dim + cols, return_counts=True)
+        if repeats.max(initial=0) > 2:
+            # the summation order of three or more duplicates is unspecified
+            # in scipy: compare the sums to 1e-15 of the summed magnitudes,
+            # then the methods against CSR of the summed entries
+            magnitude = scipy.sparse.csr_matrix((np.abs(vals), (rows, cols)), shape=(dim, dim)).toarray()
+            assert op.nnz == ref.nnz
+            assert np.all(np.abs(op.to_dense() - ref.toarray()) <= 1e-15 * magnitude)
+            ref = scipy.sparse.csr_matrix((op.vals, (op.rows, op.cols)), shape=(dim, dim))
+        assert_matches_csr(op, ref, x)
+        assert op.vals.dtype == np.complex128
+        assert np.array_equal(op.matrix.toarray(), ref.toarray())
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_periodic_bose_hubbard(self, size, monkeypatch):
+        # on two periodic sites both bonds join the same pair of sites, so
+        # every hopping entry comes twice
+        built = {}
+        from_triplets = SparseOperator.from_triplets
+
+        def spy(dim, triplets, hermitian=False):
+            built["triplets"] = triplets
+            return from_triplets(dim, triplets, hermitian)
+
+        monkeypatch.setattr(SparseOperator, "from_triplets", spy)
+        op = build_bose_hubbard(fock_basis(size, size, "periodic"), 0.3, 1.0, 0.01)
+        rows, cols, vals = map(np.array, zip(*built["triplets"]))
+        ref = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(op.dim, op.dim))
+        x = np.random.default_rng(size).standard_normal((op.dim, 2)) @ np.array([1.0, 1j])
+        assert_matches_csr(op, ref, x)
+        assert op.hermitian and op.vals.dtype == np.complex128
+        if size == 2:
+            assert op.nnz < len(built["triplets"])
