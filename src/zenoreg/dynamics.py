@@ -33,9 +33,10 @@ conditioned state and the exact oracle) and the real generator of
 RK4 kernel ``_rk4``, the reference; without one, a cost model may instead
 diagonalise G once and rebuild the samples exactly (``_spectral``), when
 that is predicted clearly cheaper and the eigenvectors are well
-conditioned.  On the exact curve the ensemble's jump times are continuous,
-each bisected on the closed-form norm; under RK4 they are step times.  The
-4x4 Bloch system is exact, one matrix exponential a gap.
+conditioned.  The jump ensemble reads one rule off either run; only a jump
+time is read per backend, an RK4 step time or, on the exact curve, a root
+bisected on the closed-form norm.  The 4x4 Bloch system is exact, one
+matrix exponential a gap.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout.
@@ -46,6 +47,7 @@ resolve the fastest coherence rotation with 0.01/(U+|V_c|).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -142,32 +144,31 @@ def _refuse_long_rk4(n_steps: int, t_end: float, dt: float) -> None:
         )
 
 
-def _rk4(gen, y, h: float, n_gaps: int, stride: int):
+def _rk4(gen, y, h: float, n_steps: int):
     """Fixed-step RK4 for dy/dt = gen y, the one place a step is taken.
 
     ``gen`` is scaled by ``h`` once; ``y`` is advanced in place and yielded
-    at the start and after every ``stride`` steps, n_gaps + 1 times in all.
+    at the start and after every step, n_steps + 1 times in all.
     """
     a = gen * h
     tmp = np.empty_like(y)
     yield y
-    for _ in range(n_gaps):
-        for _ in range(stride):
-            k1 = a.dot(y)
-            np.multiply(k1, 0.5, out=tmp)
-            tmp += y
-            k2 = a.dot(tmp)
-            np.multiply(k2, 0.5, out=tmp)
-            tmp += y
-            k3 = a.dot(tmp)
-            np.add(y, k3, out=tmp)
-            k4 = a.dot(tmp)
-            k2 += k3
-            k2 *= 2.0
-            k2 += k1
-            k2 += k4
-            k2 /= 6.0
-            y += k2
+    for _ in range(n_steps):
+        k1 = a.dot(y)
+        np.multiply(k1, 0.5, out=tmp)
+        tmp += y
+        k2 = a.dot(tmp)
+        np.multiply(k2, 0.5, out=tmp)
+        tmp += y
+        k3 = a.dot(tmp)
+        np.add(y, k3, out=tmp)
+        k4 = a.dot(tmp)
+        k2 += k3
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        k2 /= 6.0
+        y += k2
         yield y
 
 
@@ -222,22 +223,27 @@ def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray,
 
 @dataclass
 class Propagation:
-    """Samples of one run of dy/dt = G y and the backend that produced them.
+    """One run of dy/dt = G y and the backend that produced it.
 
-    Iterating yields the state buffer at every grid point.  ``backend`` is
-    "rk4", "eigh" (G = -i H with H Hermitian) or "eig"; ``cond_v`` is the
-    1-norm condition number of the eigenvector matrix when "eig" ran, None
-    otherwise.  A spectral run also gives ``blocks(times)``, the exact states
-    at any times, yielded as in ``_blocks``; it is None for RK4.
+    ``points`` yields the state buffer at times k h, k = 0, 1, ...: after
+    every RK4 step, or at every grid point of a spectral run; every
+    ``stride``-th of them is a grid point, and iterating yields just those.
+    ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig";
+    ``cond_v`` is the 1-norm condition number of the eigenvector matrix when
+    "eig" ran, None otherwise.  A spectral run also gives ``blocks(times)``,
+    the exact states at any times, yielded as in ``_blocks``; it is None for
+    RK4.
     """
 
-    samples: Iterator[np.ndarray]
+    points: Iterator[np.ndarray]
+    h: float
+    stride: int = 1
     backend: str = "rk4"
     cond_v: float | None = None
     blocks: Callable[[np.ndarray], Iterator[np.ndarray]] | None = None
 
     def __iter__(self):
-        return self.samples
+        return itertools.islice(self.points, 0, None, self.stride)
 
 
 def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
@@ -270,9 +276,10 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     lam = scale * w
     return Propagation(
         _rebuild(vecs, coef, lam, t, y),
-        "eigh" if cond_v is None else "eig",
-        cond_v,
-        lambda times: _blocks(vecs, coef, lam, times),
+        t[1],
+        backend="eigh" if cond_v is None else "eig",
+        cond_v=cond_v,
+        blocks=lambda times: _blocks(vecs, coef, lam, times),
     )
 
 
@@ -304,7 +311,7 @@ def _propagate(
         if spectral is not None:
             return t, spectral
     _refuse_long_rk4(n_steps, t_end, step)
-    return t, Propagation(_rk4(op.matrix * scale, y, h, t.size - 1, stride))
+    return t, Propagation(_rk4(op.matrix * scale, y, h, n_steps), h, stride)
 
 
 def _schrodinger(
@@ -317,16 +324,6 @@ def _schrodinger(
 ):
     """``_propagate`` for i dpsi/dt = H psi, H = ``op``, with its largest accepted step."""
     return _propagate(op, -1j, psi, t_end, dt, max_samples, _max_step(op), default_dt)
-
-
-def _norm_and_target(run: Propagation, size: int):
-    """||psi||^2 and the T amplitude psi[0] at each of the ``size`` samples of ``run``."""
-    norm = np.empty(size)
-    c_t = np.empty(size, dtype=np.complex128)
-    for i, y in enumerate(run):
-        norm[i] = np.vdot(y, y).real
-        c_t[i] = y[0]
-    return norm, c_t
 
 
 def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
@@ -396,7 +393,11 @@ def evolve(
         raise IntegrationError("state and operator dimensions differ")
     psi = amps0.astype(np.complex128, copy=True)
     t, run = _schrodinger(op, psi, t_end, dt, max_samples, default_dt)
-    norm, c_t = _norm_and_target(run, t.size)
+    norm = np.empty(t.size)
+    c_t = np.empty(t.size, dtype=np.complex128)
+    for i, y in enumerate(run):
+        norm[i] = np.vdot(y, y).real
+        c_t[i] = y[0]
     if embed is not None:
         final = embed(psi)
     else:
@@ -542,26 +543,55 @@ def jump_ensemble(
     the same state and a jump ends them, so the survivors share one
     conditioned evolution: the run, backend and samples that
     ``null_trajectory`` makes with the same arguments, propagated once.
-    When that run is spectral, trajectory i is lost from the first sample
-    whose running-minimum norm is <= r_i and jumps at a continuous time, the
-    root of the exact norm curve in that sample's gap, bisected down to
-    adjacent floats.  Under RK4 (a given ``dt``, or the chooser's fallback)
-    it jumps at the first RK4 step whose norm is <= r_i, found while the run
-    proceeds.  The cost is one trajectory plus ``n_traj`` threshold draws,
-    and the memory O(n_traj + max_samples) whatever the step count.
-    ``workers`` is accepted for compatibility and has no effect.
+    One rule serves both backends: trajectory i is lost at the first
+    propagated point (RK4 step, or spectral grid point) whose running-minimum
+    norm is <= r_i, found while the run proceeds.  Only the jump time is
+    read per backend: under RK4 (a given ``dt``, or the chooser's fallback)
+    it is that step's time; on a spectral run it is the root of the exact
+    norm curve in that point's gap, bisected down to adjacent floats.  The
+    cost is one trajectory plus ``n_traj`` threshold draws, and the memory
+    O(n_traj + max_samples) whatever the step count.  ``workers`` is
+    accepted for compatibility and has no effect.
     """
     if n_traj < 1:
-        raise ValueError("n_traj must be >= 1")
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     model, op, psi, step, _ = _conditioned_problem(p, n, model)
     # the very run, and so the very samples, of ``null_trajectory``
     t, run = _schrodinger(op, psi, t_end, dt, max_samples, step)
     thresholds = np.array([_trajectory_threshold(seed, i) for i in range(n_traj)])
+    # The first point with ||psi||^2 <= r is the first whose running minimum
+    # is <= r, and the running minimum falls even where the last bit of the
+    # norm does not.  So with the thresholds in descending order, each point
+    # takes the next ones that its running minimum reaches; n_points marks a
+    # survivor.
+    order = np.argsort(-thresholds, kind="stable")
+    descending = thresholds[order].tolist()
+    n_points = (t.size - 1) * run.stride + 1
+    lost_at = np.full(n_traj, n_points)
+    norm = np.empty(t.size)
+    c_t = np.empty(t.size, dtype=np.complex128)
+    floor, crossed = math.inf, 0
+    for k, y in enumerate(run.points):
+        norm_k = float(np.vdot(y, y).real)
+        if k % run.stride == 0:
+            norm[k // run.stride] = norm_k
+            c_t[k // run.stride] = y[0]
+        if k == 0:
+            continue
+        floor = min(floor, norm_k)
+        while crossed < n_traj and descending[crossed] >= floor:
+            lost_at[order[crossed]] = k
+            crossed += 1
+    alive = n_traj - np.searchsorted(np.sort(lost_at), np.arange(t.size) * run.stride, side="right")
+    lost = np.flatnonzero(lost_at < n_points)
+    k = lost_at[lost]
+    jump_times = np.full(n_traj, np.nan)
     if run.blocks is None:
-        step = step if dt is None else dt
-        norm, c_t, alive, jump_times = _rk4_jumps(op, psi, t_end, step, max_samples, thresholds)
+        jump_times[lost] = k * run.h
     else:
-        norm, c_t, alive, jump_times = _spectral_jumps(run, t, thresholds)
+        jump_times[lost] = _bisect_norm(run.blocks, t[k - 1], t[k], thresholds[lost])
     fid = _conditioned_population(c_t, norm)
     survival = alive / n_traj
     return EnsembleResult(
@@ -576,57 +606,6 @@ def jump_ensemble(
         backend=run.backend,
         cond_v=run.cond_v,
     )
-
-
-def _rk4_jumps(
-    op: SparseOperator, psi: np.ndarray, t_end: float, step: float, max_samples: int, thresholds: np.ndarray
-):
-    """Sample norms and T amplitudes, survivor counts per sample and jump
-    times of the ensemble, by RK4: trajectory i jumps at the first step whose
-    norm is <= r_i, found while the run proceeds, so the memory does not grow
-    with the step count."""
-    n_steps, stride, h, t = _plan_grid(t_end, step, _max_step(op), max_samples)
-    # The first step with ||psi||^2 <= r is the first whose running minimum
-    # is <= r, and the running minimum falls even where the last bit of the
-    # norm does not.  So with the thresholds in descending order, each step
-    # takes the next ones that its running minimum reaches.  Step
-    # n_steps + 1 marks a survivor.
-    order = np.argsort(-thresholds, kind="stable")
-    descending = thresholds[order].tolist()
-    jump_step = np.full(thresholds.size, n_steps + 1)
-    norm = np.empty(t.size)
-    c_t = np.empty(t.size, dtype=np.complex128)
-    floor, crossed = math.inf, 0
-    for k, y in enumerate(_rk4(op.matrix * -1j, psi, h, n_steps, 1)):
-        norm_k = float(np.vdot(y, y).real)
-        if k % stride == 0:
-            norm[k // stride] = norm_k
-            c_t[k // stride] = y[0]
-        if k == 0:
-            continue
-        floor = min(floor, norm_k)
-        while crossed < thresholds.size and descending[crossed] >= floor:
-            jump_step[order[crossed]] = k
-            crossed += 1
-    sample_step = np.arange(t.size) * stride
-    alive = thresholds.size - np.searchsorted(np.sort(jump_step), sample_step, side="right")
-    return norm, c_t, alive, np.where(jump_step <= n_steps, jump_step * h, np.nan)
-
-
-def _spectral_jumps(run: Propagation, t: np.ndarray, thresholds: np.ndarray):
-    """What ``_rk4_jumps`` returns, from a spectral run: trajectory i is lost
-    at the first sample whose running-minimum norm is <= r_i, and jumps at
-    the time in that sample's gap where the exact norm curve reaches r_i."""
-    norm, c_t = _norm_and_target(run, t.size)
-    # first sample k >= 1 with min(norm[1 : k + 1]) <= r; t.size for a survivor
-    floor = np.minimum.accumulate(norm[1:])
-    lost_at = 1 + np.searchsorted(-floor, -thresholds)
-    alive = thresholds.size - np.searchsorted(np.sort(lost_at), np.arange(t.size), side="right")
-    jump_times = np.full(thresholds.size, np.nan)
-    lost = np.flatnonzero(lost_at < t.size)
-    k = lost_at[lost]
-    jump_times[lost] = _bisect_norm(run.blocks, t[k - 1], t[k], thresholds[lost])
-    return norm, c_t, alive, jump_times
 
 
 def _bisect_norm(blocks, lo: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:

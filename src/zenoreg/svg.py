@@ -1,8 +1,8 @@
 """Minimal standalone SVG line plots.
 
 Fixed 800x600 viewport, linear axes with min/max tick labels, one polyline
-per series and a legend.  Output is deterministic: reruns differ at most
-in the single version comment line.
+per series and a legend.  Output is deterministic: the one version comment
+line holds the fixed package version, so reruns are byte-identical.
 """
 
 from __future__ import annotations

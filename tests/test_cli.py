@@ -310,6 +310,8 @@ class TestIntegrationErrorExitCode:
             (["ensemble", "--dt", "1e-5", "--t-end", "1e9"], "RK4 steps"),
             (["nonselective", "--t-end", "1e9"], "RK4 steps"),
             (["trajectory", "--n", "5", "--t-end", "1e12"], "conditioned state vanished"),
+            (["ensemble", "--n", "5", "--seed", "-1", "--t-end", "1"], "seed must be >= 0, got -1"),
+            (["ensemble", "--n", "5", "--traj", "0", "--t-end", "1"], "n_traj must be >= 1, got 0"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):

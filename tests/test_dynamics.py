@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import free_params, measurement_test_params
+from zenoreg import dynamics
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
     BlochState,
@@ -247,6 +249,33 @@ class TestJumpEnsemble:
         # failed registers contribute no target population
         assert np.max(np.abs(ens.uncond_t_population - later * series.fidelity)) < 1e-12
 
+    @pytest.mark.parametrize("model, max_samples", [("full", 6), ("eliminated", 5000)])
+    def test_pinned_collapse_onto_conditioned_trajectory(self, model, max_samples):
+        # under RK4 too, every survivor carries the pinned null trajectory's state
+        p = measurement_test_params()
+        step = full_model_step(p) if model == "full" else eliminated_model_step(p)
+        grid = dict(t_end=2.0, model=model, dt=step, max_samples=max_samples)
+        ens = jump_ensemble(p, 5, n_traj=1100, seed=3, **grid)
+        series = null_trajectory(p, 5, **grid)
+        assert ens.backend == series.backend == "rk4"
+        assert np.isfinite(ens.jump_times).any()
+        alive = ens.survival > 0
+        assert alive[0] and np.array_equal(ens.cond_fidelity[alive], series.fidelity[alive])
+
+    def test_pinned_run_plans_and_integrates_once(self, monkeypatch):
+        # the jumps are read off the run that also gives the samples
+        calls = dict.fromkeys(["_plan_grid", "_rk4"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(dynamics, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        p = measurement_test_params()
+        ens = jump_ensemble(p, 5, n_traj=1100, seed=3, t_end=2.0, dt=full_model_step(p), max_samples=6)
+        assert ens.backend == "rk4" and np.isfinite(ens.jump_times).any()
+        assert calls == {"_plan_grid": 1, "_rk4": 1}
+
 
 class TestReducedMasterEquation:
     def test_static_limit(self):
@@ -444,7 +473,7 @@ class TestMasterEquationGenerator:
         _, max_step = _rme_generator(p, basis)
         _, stride, h, t = _plan_grid(t_end, dt, max_step, samples)
         m = 2 * (n - 1)
-        ref = np.array([(y[0], y[1 : 1 + m].sum()) for y in _rk4(block_generator(p, basis), y, h, t.size - 1, stride)])
+        ref = np.array([(y[0], y[1 : 1 + m].sum()) for y in itertools.islice(_rk4(block_generator(p, basis), y, h, (t.size - 1) * stride), 0, None, stride)])
         assert series.backend == "rk4"
         assert np.array_equal(series.rho_tt, ref[:, 0])
         assert np.array_equal(series.rho_ss_sum, ref[:, 1])
@@ -579,7 +608,7 @@ def rk4_reference_ensemble(p, n: int, n_traj: int, seed: int, t_end: float, mode
     Returns survival, cond_fidelity and jump_times."""
     _, op, psi, step, _ = _conditioned_problem(p, n, model)
     n_steps, stride, h, _ = _plan_grid(t_end, step, _max_step(op), max_samples)
-    states = np.array([y.copy() for y in _rk4(op.matrix * -1j, psi, h, n_steps, 1)])
+    states = np.array([y.copy() for y in _rk4(op.matrix * -1j, psi, h, n_steps)])
     norms = np.array([np.vdot(y, y).real for y in states])
     first = 1 + np.searchsorted(-np.minimum.accumulate(norms[1:]), -thresholds_of(seed, n_traj))
     alive = np.array([(first > k).sum() for k in range(0, n_steps + 1, stride)])

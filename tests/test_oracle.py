@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import free_params
-from zenoreg.dynamics import _max_step
+from zenoreg.dynamics import DENSE_EIG_CUTOFF, _max_step
 from zenoreg.oracle import (
     build_bose_hubbard,
     double_occupancy_basis,
@@ -102,6 +102,14 @@ class TestExactGroundState:
             variational = float(np.vdot(amps, h.matvec(amps)).real / np.vdot(amps, amps).real)
             exact, _ = exact_ground_state(h)
             assert exact <= variational + 1e-14
+
+    def test_lanczos_matches_dense(self):
+        # above DENSE_EIG_CUTOFF the ground state comes from eigsh
+        h = build_bose_hubbard(fock_basis(7, 8), 0.01, 1.0, 1e-3)
+        assert h.dim > DENSE_EIG_CUTOFF
+        assert np.all(h.vals.imag == 0.0)
+        energy, _ = exact_ground_state(h)
+        assert abs(energy - np.linalg.eigvalsh(h.to_dense().real)[0]) <= 1e-10
 
 
 class TestExactEvolution:
