@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -517,10 +518,102 @@ class EnsembleResult(_Diagnosed):
         return edges, counts
 
 
-def _trajectory_threshold(seed: int, index: int) -> float:
-    """Waiting-time threshold for trajectory ``index``: one uniform draw
-    from an independent stream keyed by (seed, index)."""
-    return float(np.random.default_rng([seed, index]).random())
+# Trajectories whose thresholds are drawn per pass of ``_threshold_draws``:
+# each pass holds a few dozen arrays of THRESHOLD_BLOCK words.
+THRESHOLD_BLOCK = 2**14
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 generator.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+
+
+def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's hashmix: a 32-bit hash whose constant advances on every call."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> 16)
+
+
+def _seed_words(entropy: list) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)``: entropy is a
+    list of 32-bit words, each a scalar or an array of one per stream."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[j] if j < len(entropy) else np.uint32(0)) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    half = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return [half[2 * k] | half[2 * k + 1] << 32 for k in range(4)]
+
+
+def _mulhi64(a: np.ndarray, b: np.uint64) -> np.ndarray:
+    """High word of the 128-bit product a * b, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state * multiplier + inc mod 2^128, on (hi, lo) words."""
+    prod_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _threshold_draws(seed: int, n_traj: int) -> np.ndarray:
+    """Waiting-time thresholds: entry i is the first uniform draw of the
+    stream keyed by (seed, i), ``np.random.default_rng([seed, i]).random()``
+    bit for bit, for i < n_traj <= 2^32.  numpy's seeding and PCG64 are
+    written out on arrays over i, THRESHOLD_BLOCK streams at a time."""
+    # the 32-bit words of seed, least significant first ([0] for 0)
+    head = [np.uint32(seed >> k & _MASK32) for k in range(0, max(seed.bit_length(), 1), 32)]
+    draws = np.empty(n_traj)
+    with np.errstate(over="ignore"):
+        for start in range(0, n_traj, THRESHOLD_BLOCK):
+            index = np.arange(start, min(start + THRESHOLD_BLOCK, n_traj), dtype=np.uint32)
+            s0, s1, s2, s3 = _seed_words([*head, index])
+            # pcg64_set_seed: inc = (s2, s3) << 1 | 1; from state 0, step,
+            # add (s0, s1), step; then random() steps once more
+            inc = (s2 << 1 | s3 >> 63, s3 << 1 | 1)
+            hi, lo = _add128(*inc, s0, s1)
+            hi, lo = _pcg_step(*_pcg_step(hi, lo, *inc), *inc)
+            # XSL-RR output, then the top 53 bits as a double in [0, 1)
+            x, rot = hi ^ lo, hi >> 58
+            out = x >> rot | x << (-rot & 63)
+            draws[start : start + index.size] = (out >> 11) * 2.0**-53
+    return draws
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers and bools pass, as ``default_rng`` takes them."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def jump_ensemble(
@@ -549,18 +642,23 @@ def jump_ensemble(
     read per backend: under RK4 (a given ``dt``, or the chooser's fallback)
     it is that step's time; on a spectral run it is the root of the exact
     norm curve in that point's gap, bisected down to adjacent floats.  The
-    cost is one trajectory plus ``n_traj`` threshold draws, and the memory
-    O(n_traj + max_samples) whatever the step count.  ``workers`` is
+    cost is one trajectory plus one vectorised pass that draws every
+    threshold from its (seed, i) stream (``_threshold_draws``), and the
+    memory O(n_traj + max_samples) whatever the step count.  ``n_traj``
+    (1 to 2^32) and ``seed`` (>= 0) must be integers.  ``workers`` is
     accepted for compatibility and has no effect.
     """
+    n_traj, seed = _integer("n_traj", n_traj), _integer("seed", seed)
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    if n_traj > 2**32:
+        raise ValueError(f"n_traj must be <= 2**32, got {n_traj}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     model, op, psi, step, _ = _conditioned_problem(p, n, model)
     # the very run, and so the very samples, of ``null_trajectory``
     t, run = _schrodinger(op, psi, t_end, dt, max_samples, step)
-    thresholds = np.array([_trajectory_threshold(seed, i) for i in range(n_traj)])
+    thresholds = _threshold_draws(seed, n_traj)
     # The first point with ||psi||^2 <= r is the first whose running minimum
     # is <= r, and the running minimum falls even where the last bit of the
     # norm does not.  So with the thresholds in descending order, each point

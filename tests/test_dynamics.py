@@ -13,6 +13,7 @@ from conftest import free_params, measurement_test_params
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
+    THRESHOLD_BLOCK,
     BlochState,
     IntegrationError,
     ReducedDensityState,
@@ -36,6 +37,7 @@ from zenoreg.dynamics import (
     _rme_generator,
     _schrodinger,
     _spectral_is_cheaper,
+    _threshold_draws,
 )
 from zenoreg.register import (
     BrightSector,
@@ -614,6 +616,88 @@ def rk4_reference_ensemble(p, n: int, n_traj: int, seed: int, t_end: float, mode
     alive = np.array([(first > k).sum() for k in range(0, n_steps + 1, stride)])
     fid = np.abs(states[::stride, 0]) ** 2 / norms[::stride]
     return alive / n_traj, np.where(alive > 0, fid, np.nan), np.where(first <= n_steps, first * h, np.nan)
+
+
+def seeds_of_words(words: int):
+    """Seeds of exactly ``words`` 32-bit words: below 2**128 for words <= 4,
+    and each word count as likely, which plain integers(0, 2**128 - 1) is not."""
+    return st.integers(2 ** (32 * words - 32) if words > 1 else 0, 2 ** (32 * words) - 1)
+
+
+class TestThresholdDraws:
+    """The one-pass draws against numpy's own per-trajectory streams,
+    ``default_rng([seed, i]).random()``."""
+
+    # 2**128 - 1 fills SeedSequence's four-word pool, so the index word is
+    # mixed in after it, as every word past the fourth is
+    SEEDS = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**200]
+    SIZES = [1, THRESHOLD_BLOCK - 1, THRESHOLD_BLOCK, THRESHOLD_BLOCK + 1, 3 * THRESHOLD_BLOCK + 5]
+
+    @staticmethod
+    def streams(seed: int, indices) -> np.ndarray:
+        return np.array([np.random.default_rng([seed, int(i)]).random() for i in indices])
+
+    @pytest.mark.parametrize("n_traj", SIZES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_match_the_streams_across_blocks(self, seed, n_traj):
+        draws = _threshold_draws(seed, n_traj)
+        assert draws.shape == (n_traj,) and draws.dtype == np.float64
+        # both sides of every block edge, the last index, and a spread between
+        edges = np.arange(0, n_traj + 1, THRESHOLD_BLOCK)
+        picks = np.concatenate([edges - 1, edges, np.arange(0, n_traj, 97), [n_traj - 1]])
+        picks = np.unique(picks[(picks >= 0) & (picks < n_traj)])
+        assert np.array_equal(draws[picks], self.streams(seed, picks))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bench_setting_matches_every_stream(self, seed):
+        assert np.array_equal(_threshold_draws(seed, 8192), thresholds_of(seed, 8192))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(1, 4).flatmap(seeds_of_words), n_traj=st.integers(1, 200))
+    def test_match_the_streams_for_any_seed(self, seed, n_traj):
+        assert np.array_equal(_threshold_draws(seed, n_traj), self.streams(seed, range(n_traj)))
+
+    def test_ensemble_builds_no_generator(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a numpy Generator was built")
+
+        for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, refused)
+        ens = jump_ensemble(measurement_test_params(), 5, n_traj=64, seed=3, t_end=2.0, max_samples=5)
+        assert ens.survival[0] == 1.0
+
+
+class TestEnsembleArguments:
+    @staticmethod
+    def refused_before_propagating(monkeypatch, **kwargs) -> str:
+        def propagated(*args, **kwargs):
+            raise AssertionError("the arguments were checked after propagating")
+
+        monkeypatch.setattr(dynamics, "_conditioned_problem", propagated)
+        with pytest.raises(ValueError) as refused:
+            jump_ensemble(measurement_test_params(), 5, **dict(dict(n_traj=64, seed=3, t_end=2.0), **kwargs))
+        return str(refused.value)
+
+    @pytest.mark.parametrize("name", ["seed", "n_traj"])
+    @pytest.mark.parametrize("value", [5.0, 2.5, np.float64(5.0), np.float32(64), "5", None])
+    def test_non_integers_refused(self, monkeypatch, name, value):
+        message = self.refused_before_propagating(monkeypatch, **{name: value})
+        assert message == f"{name} must be an integer, got {value!r}"
+
+    def test_more_than_one_index_word_refused(self, monkeypatch):
+        message = self.refused_before_propagating(monkeypatch, n_traj=2**32 + 1)
+        assert message == "n_traj must be <= 2**32, got 4294967297"
+
+    @pytest.mark.parametrize(
+        "n_traj, seed", [(np.int32(64), 1), (64, np.int64(1)), (64, np.uint64(1)), (64, True)]
+    )
+    def test_numpy_integers_and_bools_accepted(self, n_traj, seed):
+        kwargs = dict(t_end=2.0, model="full", max_samples=5)
+        ens = jump_ensemble(measurement_test_params(), 5, n_traj=n_traj, seed=seed, **kwargs)
+        plain = jump_ensemble(measurement_test_params(), 5, n_traj=64, seed=1, **kwargs)
+        assert type(ens.n_traj) is int and type(ens.seed) is int and ens.seed == 1
+        assert np.array_equal(ens.survival, plain.survival)
+        assert np.array_equal(ens.jump_times, plain.jump_times, equal_nan=True)
 
 
 class TestSpectralEnsemble:
