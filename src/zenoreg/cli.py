@@ -33,8 +33,8 @@ from .dynamics import (
 from .oracle import double_occupancy_evolve, exact_evolve_fidelity, fock_basis
 from .params import ParameterError, derive_params, reference_config, read_config, regime_check
 from .register import (
+    BrightSector,
     ModelError,
-    StateVector,
     build_basis,
     build_free_hamiltonian,
     fidelity,
@@ -328,16 +328,15 @@ def free(config, n, u_over_j, strict, hz, dt, t_end, from_saturated, out):
     n_reg = cfg.register_sites
     t_end = _parse_t_end(t_end, p)
     basis = build_basis(n_reg)
-    h_free = build_free_hamiltonian(basis, p)
+    # both starts lie in the bright sector, which the free evolution keeps;
+    # F = |c_T|^2/||psi||^2 needs no normalised start
+    sector = BrightSector(basis, p.delta_over_u, molecular=False)
     if from_saturated:
-        sat = null_trajectory(p, n_reg, t_end=30.0, model="eliminated")
-        amps = sat.final_state.expanded().amplitudes
-        psi0 = StateVector(basis, amps / np.linalg.norm(amps))
+        psi0 = sector.project(null_trajectory(p, n_reg, t_end=30.0, model="eliminated").final_state)
     else:
-        amps = np.zeros(basis.dimension, dtype=np.complex128)
-        amps[0] = 1.0
-        psi0 = StateVector(basis, amps)
-    series = evolve(h_free, psi0, t_end=t_end, dt=dt, max_samples=2001)
+        psi0 = np.zeros(sector.dim, dtype=np.complex128)
+        psi0[0] = 1.0
+    series = evolve(sector.restrict(build_free_hamiltonian(basis, p)), psi0, t_end=t_end, dt=dt, max_samples=2001)
     closed = free_evolution_fidelity(n_reg - 1, p.j_over_u, 1.0, p.delta_over_u, series.t)
     name, tcol = _time_column(series.t, p, hz)
     manifest = _manifest("free", cfg, p, t_end=t_end, dt=dt, from_saturated=from_saturated)

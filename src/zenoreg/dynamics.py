@@ -39,7 +39,9 @@ bisected on the closed-form norm.  The 4x4 Bloch system is exact, one
 matrix exponential a gap.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
-sector (``register.BrightSector``), about half the layout.
+sector (``register.BrightSector``), about half the layout; the CLI's free
+evolution, from |T> or a saturated state, runs on it too, without the
+molecules, a quarter of the full layout.
 The full model is stiff (gamma_M/U is a few thousand), so its default step
 is 0.02/gamma_M, while the eliminated model and the master equation
 resolve the fastest coherence rotation with 0.01/(U+|V_c|).
@@ -436,8 +438,8 @@ def _conditioned_problem(p: DerivedParams, n: int, model: str | None):
     sector = BrightSector(basis, p.delta_over_u, molecular=model == "full")
     psi0 = sector.project(perturbative_ground_state(basis, p))
     if model == "full":
-        return model, build_effective_hamiltonian(basis, p, bright=True), psi0, full_model_step(p), sector
-    return model, build_eliminated_hamiltonian(basis, p, bright=True), psi0, eliminated_model_step(p), sector
+        return model, sector.restrict(build_effective_hamiltonian(basis, p)), psi0, full_model_step(p), sector
+    return model, sector.restrict(build_eliminated_hamiltonian(basis, p)), psi0, eliminated_model_step(p), sector
 
 
 def null_trajectory(
@@ -661,16 +663,16 @@ def jump_ensemble(
     thresholds = _threshold_draws(seed, n_traj)
     # The first point with ||psi||^2 <= r is the first whose running minimum
     # is <= r, and the running minimum falls even where the last bit of the
-    # norm does not.  So with the thresholds in descending order, each point
-    # takes the next ones that its running minimum reaches; n_points marks a
-    # survivor.
-    order = np.argsort(-thresholds, kind="stable")
-    descending = thresholds[order].tolist()
+    # norm does not.  So with the thresholds ascending, the first ``left``
+    # not yet reached, each point takes those its running minimum reaches;
+    # n_points marks a survivor.
+    order = np.argsort(thresholds, kind="stable")
+    ascending = thresholds[order]
     n_points = (t.size - 1) * run.stride + 1
     lost_at = np.full(n_traj, n_points)
     norm = np.empty(t.size)
     c_t = np.empty(t.size, dtype=np.complex128)
-    floor, crossed = math.inf, 0
+    floor, left = math.inf, n_traj
     for k, y in enumerate(run.points):
         norm_k = float(np.vdot(y, y).real)
         if k % run.stride == 0:
@@ -679,9 +681,10 @@ def jump_ensemble(
         if k == 0:
             continue
         floor = min(floor, norm_k)
-        while crossed < n_traj and descending[crossed] >= floor:
-            lost_at[order[crossed]] = k
-            crossed += 1
+        if left and ascending[left - 1] >= floor:
+            reached = int(np.searchsorted(ascending[:left], floor))
+            lost_at[order[reached:left]] = k
+            left = reached
     alive = n_traj - np.searchsorted(np.sort(lost_at), np.arange(t.size) * run.stride, side="right")
     lost = np.flatnonzero(lost_at < n_points)
     k = lost_at[lost]

@@ -294,56 +294,70 @@ class BrightSector:
     bright/dark split).  The register's trap is symmetric about its centre,
     so at delta != 0 the groups are the mirror couples (j, +) and (-j-1, -)
     and at delta = 0 all pair states form one group.  Layout: T, the groups
-    in ascending energy at ``slots``, then (molecular) their molecules in the
-    same order at ``m_slots``.  ``first`` is the pair-table row of one member
-    of each group, ``group`` the group of each pair state and ``scale`` the
-    square root of each group's size.
+    in ascending energy, then (molecular) their molecules in the same order.
+
+    The sector is the isometry P onto this span from the full layout (a T+S
+    layout is read as one with zero molecular slots): ``index`` is the
+    sector state of each full-layout slot (-1: a molecule outside a sector
+    without molecules), where P has the weight 1/sqrt(size), ``size`` being
+    each sector state's group size (1 for T).  ``group`` is the group of
+    each pair state.
     """
 
     def __init__(self, basis: RestrictedBasis, delta: float, molecular: bool):
         self.basis, self.molecular = basis, molecular
-        _, self.first, self.group, size = np.unique(
-            basis.pair_energies(delta), return_index=True, return_inverse=True, return_counts=True
-        )
-        self.scale = np.sqrt(size)
-        self.slots = np.arange(1, 1 + size.size)
-        self.m_slots = self.slots + size.size
-        self.dim = 1 + (2 if molecular else 1) * size.size
+        _, self.group, size = np.unique(basis.pair_energies(delta), return_inverse=True, return_counts=True)
+        parts = range(2 if molecular else 1)
+        self.dim = 1 + len(parts) * size.size
+        self.size = np.concatenate([[1]] + [size for _ in parts])
+        self.index = np.full(basis.dimension, -1)
+        slots = np.concatenate([[0]] + [basis.s_slots + 2 * k for k in parts])
+        self.index[slots] = np.concatenate([[0]] + [1 + k * size.size + self.group for k in parts])
 
-    @property
-    def _full_slots(self) -> list:
-        """Full-layout slots of the pair states, then (molecular) of their molecules."""
-        return [self.basis.s_slots, self.basis.s_slots + 2][: 2 if self.molecular else 1]
+    def restrict(self, op: SparseOperator) -> SparseOperator:
+        """P^H op P, the block of the register operator ``op`` (full or T+S
+        layout) on the sector.  Raises ModelError if a sector without
+        molecules is given an operator with molecular entries."""
+        index = self.index if op.dim == self.basis.dimension else self.index[np.r_[0, self.basis.s_slots]]
+        if op.dim != index.size:
+            raise ModelError(f"dimension {op.dim} is neither the full nor the T+S layout of n={self.basis.n}")
+        rows, cols = index[op.rows], index[op.cols]
+        if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
+            raise ModelError("operator has molecular entries, outside a sector without molecules")
+        # one rounding per weight: a size-2 group's diagonal is halved exactly
+        vals = op.vals / np.sqrt(self.size[rows] * self.size[cols])
+        return SparseOperator._canonical(self.dim, rows, cols, vals, op.hermitian)
 
     def project(self, state: StateVector) -> np.ndarray:
-        """Sector amplitudes of ``state``, whose pair (and molecular)
-        amplitudes must be equal within each group: sqrt(size) times the
-        shared amplitude.  Raises ModelError for a state with a dark part."""
-        amps = state.expanded().amplitudes
-        columns = [amps[slots] for slots in self._full_slots]
-        if any(not np.array_equal(c, c[self.first][self.group]) for c in columns):
+        """P^H psi: sector amplitudes of ``state``, whose pair (and molecular)
+        amplitudes must be equal within each group, so each is sqrt(size)
+        times the shared amplitude.  Raises ModelError for a state with a
+        dark part."""
+        inside = self.index >= 0
+        amps = state.expanded().amplitudes[inside]
+        shared = np.empty(self.dim, dtype=np.complex128)
+        shared[self.index[inside]] = amps  # one member's amplitude per sector state
+        if not np.array_equal(amps, shared[self.index[inside]]):
             raise ModelError("state differs within a group of equal-energy pair states")
-        return np.concatenate([amps[:1]] + [c[self.first] * self.scale for c in columns])
+        return shared * np.sqrt(self.size)
 
     def embed(self, amps: np.ndarray) -> StateVector:
-        """The state with sector amplitudes ``amps``, in the full layout if
-        ``molecular``, else in the T+S layout."""
-        shared = (amps[1:].reshape(-1, self.first.size) / self.scale)[:, self.group]
+        """P a: the state with sector amplitudes ``amps``, in the full layout
+        if ``molecular``, else in the T+S layout."""
+        inside = self.index >= 0
         out = np.zeros(self.basis.dimension, dtype=np.complex128)
-        out[0] = amps[0]
-        for slots, column in zip(self._full_slots, shared):
-            out[slots] = column
+        out[inside] = (amps / np.sqrt(self.size))[self.index[inside]]
         state = StateVector(self.basis, out)
         return state if self.molecular else state.reduced()
 
 
-def _arrowhead(dim, slots, s_diag, j_hop, scale=1.0, m_slots=None, m_diag=None, omega_m=0.0, hermitian=True):
-    """Register operator with T at index 0: T row and column -sqrt(2) J times
-    ``scale`` (a number or one per slot) to every pair state at ``slots``,
-    ``s_diag`` on the pair diagonal and, with ``m_slots``, each molecule
-    there coupled to its pair by Omega_M/2 with ``m_diag`` on its diagonal."""
+def _arrowhead(dim, slots, s_diag, j_hop, m_slots=None, m_diag=None, omega_m=0.0, hermitian=True):
+    """Register operator with T at index 0: T row and column -sqrt(2) J to
+    every pair state at ``slots``, ``s_diag`` on the pair diagonal and, with
+    ``m_slots``, each molecule there coupled to its pair by Omega_M/2 with
+    ``m_diag`` on its diagonal."""
     t = np.zeros_like(slots)
-    hop = -math.sqrt(2.0) * j_hop * np.broadcast_to(scale, slots.shape)
+    hop = np.full(slots.size, -math.sqrt(2.0) * j_hop)
     rows, cols, vals = [[0], slots, t, slots], [[0], slots, slots, t], [[0.0], s_diag, hop, hop]
     if m_slots is not None:
         half = np.full(slots.size, omega_m / 2.0)
@@ -355,20 +369,12 @@ def _arrowhead(dim, slots, s_diag, j_hop, scale=1.0, m_slots=None, m_diag=None, 
     )
 
 
-def _molecular_hamiltonian(
-    basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool, bright: bool = False
-):
-    """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal, or
-    its bright-sector block (see ``BrightSector``)."""
+def _molecular_hamiltonian(basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool):
+    """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal."""
     s_diag = p.vc_over_u + basis.pair_energies(p.delta_over_u)
     m_diag = s_diag - 1.0 - 0.5j * loss
-    if bright:
-        sector = BrightSector(basis, p.delta_over_u, molecular=True)
-        s_diag, m_diag = s_diag[sector.first], m_diag[sector.first]
-        dim, slots, m_slots, scale = sector.dim, sector.slots, sector.m_slots, sector.scale
-    else:
-        dim, slots, m_slots, scale = basis.dimension, basis.s_slots, basis.s_slots + 2, 1.0
-    return _arrowhead(dim, slots, s_diag, p.j_over_u, scale, m_slots, m_diag, p.omega_m_over_u, hermitian)
+    slots = basis.s_slots
+    return _arrowhead(basis.dimension, slots, s_diag, p.j_over_u, slots + 2, m_diag, p.omega_m_over_u, hermitian)
 
 
 def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -381,17 +387,14 @@ def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> S
     return _molecular_hamiltonian(basis, p, 0.0, hermitian=True)
 
 
-def build_effective_hamiltonian(
-    basis: RestrictedBasis, p: DerivedParams, bright: bool = False
-) -> SparseOperator:
+def build_effective_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
     """Non-Hermitian Hamiltonian for null-result conditioning.
 
     Equals the interaction Hamiltonian with -i gamma_M/2 added to every
     molecular diagonal; norm loss under this operator is the accumulated
-    decay probability.  ``bright`` builds its block on the molecular
-    ``BrightSector`` instead of the full layout.
+    decay probability.
     """
-    return _molecular_hamiltonian(basis, p, p.gamma_m_over_u, hermitian=False, bright=bright)
+    return _molecular_hamiltonian(basis, p, p.gamma_m_over_u, hermitian=False)
 
 
 def build_free_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -417,14 +420,11 @@ def coherence_damping_rate(j, sign, p: DerivedParams):
     )
 
 
-def build_eliminated_hamiltonian(
-    basis: RestrictedBasis, p: DerivedParams, bright: bool = False
-) -> SparseOperator:
+def build_eliminated_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
     """Non-Hermitian T+S Hamiltonian with molecular states eliminated.
 
     Each pair state acquires the diagonal |V_c| + E(S_j^+-) - i kappa_j.
     Valid for Omega_M/gamma_M << 1; a violation warns but still builds.
-    ``bright`` builds its block on the ``BrightSector`` instead of T+S.
     """
     if p.gamma_m_over_u > 0 and p.omega_m_over_u / p.gamma_m_over_u >= 0.1:
         warnings.warn(
@@ -435,11 +435,6 @@ def build_eliminated_hamiltonian(
     s_diag = (p.vc_over_u + basis.pair_energies(p.delta_over_u)).astype(np.complex128)
     s_diag.imag = -coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     hermitian = p.omega_m_over_u == 0.0 or p.gamma_m_over_u == 0.0
-    if bright:
-        sector = BrightSector(basis, p.delta_over_u, molecular=False)
-        return _arrowhead(
-            sector.dim, sector.slots, s_diag[sector.first], p.j_over_u, sector.scale, hermitian=hermitian
-        )
     slots = np.arange(1, basis.reduced_dimension)
     return _arrowhead(basis.reduced_dimension, slots, s_diag, p.j_over_u, hermitian=hermitian)
 

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 import zenoreg
 from conftest import measurement_test_params
 from zenoreg.cli import main
-from zenoreg.dynamics import jump_ensemble
+from zenoreg.dynamics import _max_step, evolve, jump_ensemble, null_trajectory
 from zenoreg.oracle import double_occupancy_evolve
 from zenoreg.params import derive_params, reference_config
+from zenoreg.register import build_basis, build_free_hamiltonian
 from zenoreg.runio import format_number
 from zenoreg.svg import SvgError, emit_svg
 
@@ -420,6 +421,52 @@ class TestFreeAndOracleCommands:
         rows = [line.split(",") for line in open(f"{out}.csv").read().splitlines()]
         assert rows[0][2] == "f_docc"
         assert [row[2] for row in rows[1:]] == [format_number(f) for f in docc.fidelity]
+
+
+def full_layout_free_start(p, n: int, from_saturated: bool) -> np.ndarray:
+    """The free command's start on the full layout: |T>, or the normalised
+    final state of the eliminated null trajectory to t = 30/U."""
+    if from_saturated:
+        amps = null_trajectory(p, n, t_end=30.0, model="eliminated").final_state.expanded().amplitudes
+        return amps / np.linalg.norm(amps)
+    amps = np.zeros(build_basis(n).dimension, dtype=np.complex128)
+    amps[0] = 1.0
+    return amps
+
+
+class TestFreeOnTheSector:
+    # n = 51 at its default t_end = 0.5/J: the full layout has dim 201, of
+    # which the sector keeps 51
+    @pytest.mark.parametrize("start", [[], ["--from-saturated"]])
+    def test_matches_the_full_layout(self, runner, tmp_path, start):
+        p = derive_params(replace(reference_config(), register_sites=51))
+        h = build_free_hamiltonian(build_basis(51), p)
+        psi0 = full_layout_free_start(p, 51, bool(start))
+        grid = dict(t_end=0.5 / p.j_over_u, max_samples=2001)
+
+        def run(*extra):
+            out = tmp_path / "free"
+            result = runner.invoke(main, ["free", "--n", "51", *start, *extra, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            data = np.loadtxt(f"{out}.csv", delimiter=",", skiprows=1)
+            return data[:, 2], read_json(f"{out}.json")["diagnostics"]["backend"]
+
+        # a pinned step: the same RK4 run as on the full layout
+        f_numeric, backend = run("--dt", "0.01")
+        assert backend == "rk4"
+        whole = evolve(h, psi0, dt=0.01, **grid)
+        assert np.max(np.abs(f_numeric - whole.fidelity)) <= 1e-12
+        # unpinned: eigh on the sector; it moves from the full-layout run by
+        # less than RK4 at the default step is off (measured: 5.0e-13, the
+        # CSV's 12 digits, against 3.2e-9 from |T> and 3.0e-9 saturated)
+        f_numeric, backend = run()
+        assert backend == "eigh"
+        w, v = np.linalg.eigh(h.to_dense())
+        psi = v @ ((v.conj().T @ psi0)[:, None] * np.exp(-1j * np.outer(w, whole.t)))
+        exact = np.abs(psi[0]) ** 2 / np.sum(np.abs(psi) ** 2, axis=0)
+        rk4 = evolve(h, psi0, dt=_max_step(h), **grid)
+        full_layout = evolve(h, psi0, **grid)
+        assert np.max(np.abs(f_numeric - full_layout.fidelity)) <= np.max(np.abs(rk4.fidelity - exact))
 
 
 class TestDiagnostics:

@@ -47,6 +47,8 @@ from zenoreg.register import (
     build_basis,
     build_effective_hamiltonian,
     build_eliminated_hamiltonian,
+    build_free_hamiltonian,
+    build_interaction_hamiltonian,
     coherence_damping_rate,
     fidelity,
     pair_state_energy,
@@ -221,6 +223,27 @@ class TestJumpEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 100_000
+
+    def test_memory_per_trajectory(self, reference_params):
+        # At its peak the ensemble holds five arrays of one 8-byte word per
+        # trajectory: the thresholds, their sort order, the sorted
+        # thresholds, each trajectory's loss point, and either that sorted
+        # (for the survival count) or the jump times: 40 B a trajectory.
+        # Here about 1 in 10^4 trajectories is lost, so what the lost ones
+        # add, and the per-sample arrays, fit in the 64 kB allowance; the
+        # threshold draws' block buffers (a few MB) are freed before the
+        # peak.  Sorted thresholds kept as a list of Python floats would add
+        # 32 B a trajectory.
+        n_traj = 200_000
+        kwargs = dict(seed=0, t_end=5.0, model="full", max_samples=11)
+        jump_ensemble(reference_params, 5, n_traj=100, **kwargs)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            jump_ensemble(reference_params, 5, n_traj=n_traj, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * n_traj + 64_000
 
     def test_survival_nonincreasing_from_one(self):
         p = measurement_test_params()
@@ -936,3 +959,41 @@ class TestBrightSector:
         amps[basis.s_slots[0]] *= 1.5
         with pytest.raises(ModelError, match="differs within a group"):
             sector.project(StateVector(basis, amps))
+
+    # builder, layout of its operator, sector with molecules
+    RESTRICTED = {
+        "interaction": (build_interaction_hamiltonian, "full", True),
+        "effective": (build_effective_hamiltonian, "full", True),
+        "eliminated": (build_eliminated_hamiltonian, "T+S", False),
+        "free": (build_free_hamiltonian, "full", False),
+    }
+
+    @pytest.mark.parametrize("delta", ["reference", 0.0])
+    @pytest.mark.parametrize("name", RESTRICTED)
+    @pytest.mark.parametrize("n", [5, 51])
+    def test_restrict_is_the_dense_block(self, reference_params, n, name, delta):
+        p = reference_params if delta == "reference" else replace(reference_params, delta_over_u=delta)
+        build, layout, molecular = self.RESTRICTED[name]
+        basis = build_basis(n)
+        sector = BrightSector(basis, p.delta_over_u, molecular)
+        w = isometry(sector)
+        if layout == "full" and not molecular:  # its T+S rows, in the full layout
+            w = np.zeros((basis.dimension, sector.dim), dtype=np.complex128)
+            w[np.r_[0, basis.s_slots]] = isometry(sector)
+        op = build(basis, p)
+        block = sector.restrict(op)
+        groups = n - 1 if delta == "reference" else 1
+        assert block.dim == sector.dim == 1 + (2 if molecular else 1) * groups
+        assert block.hermitian == op.hermitian
+        h = op.to_dense()
+        # both sides sum over groups of up to 2(n - 1) members
+        tol = 2 * (n - 1) * np.finfo(np.float64).eps * np.abs(h).max()
+        assert np.max(np.abs(block.to_dense() - w.conj().T @ h @ w)) <= tol
+
+    def test_restrict_refuses_molecular_entries(self, reference_params):
+        basis = build_basis(5)
+        sector = BrightSector(basis, reference_params.delta_over_u, molecular=False)
+        with pytest.raises(ModelError, match="molecular entries"):
+            sector.restrict(build_interaction_hamiltonian(basis, reference_params))
+        with pytest.raises(ModelError, match="neither the full nor the T\\+S layout"):
+            sector.restrict(two_level(1.0))
