@@ -37,6 +37,11 @@ conditioned.  The jump ensemble reads one rule off either run; only a jump
 time is read per backend, an RK4 step time or, on the exact curve, a root
 bisected on the closed-form norm.  The 4x4 Bloch system is exact, one
 matrix exponential a gap.
+The spectral backend's dense work (the diagonalisation, V^-1, the rebuild's
+block products) and the oracle's dense eigh run on one BLAS thread up to
+dimension SERIAL_BLAS_DIM (``_serial_blas``): there a second OpenBLAS thread
+saves little wall time, doubles the CPU time and makes concurrent runs fight
+over the cores.  Larger operators keep their threads.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout; the CLI's free
@@ -49,11 +54,15 @@ resolve the fastest coherence rotation with 0.01/(U+|V_c|).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -97,6 +106,22 @@ REBUILD_S = 1.2e-10
 # Spectral must be predicted this many times cheaper than RK4, so a run the
 # model calls close keeps the RK4 reference.
 SPECTRAL_MARGIN = 2.0
+# The constants above were fitted with OpenBLAS on its default two threads.
+# Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
+# rebuild's block products, the oracle's dense eigh) runs on one thread
+# (``_serial_blas``).  Median seconds of wall / CPU time of one call on the
+# same box, 2 threads vs 1, for register operators at n = dim (eig: the
+# eliminated model's bright sector; eigh: the free Hamiltonian's):
+#
+#    dim   eig 2 threads   eig 1 thread   eigh 2 threads   eigh 1 thread
+#    501     0.69 / 1.22    0.67 / 0.72      0.20 / 0.31     0.22 / 0.32
+#    641     1.16 / 2.16    1.22 / 1.30      0.28 / 0.54     0.45 / 0.57
+#    769     1.57 / 2.93    1.74 / 1.84      0.46 / 0.84     0.73 / 0.84
+#   1001     2.56 / 4.95    3.13 / 3.21      0.96 / 1.83     1.60 / 1.70
+#
+# At dim 501 the second thread saves at most 0.02 s of wall time for up to
+# 0.5 s of CPU time; from 641 it saves 0.17 s or more (eigh).
+SERIAL_BLAS_DIM = 512
 # Longest RK4 run accepted: about 2 h at the 70 us a step measured at dim 1001
 # on the box above.  The longest RK4 run the library itself asks for, the
 # full model at n = 501 to t = 20/U when eig is refused, is 3.4M steps.
@@ -196,29 +221,86 @@ def _spectral_is_cheaper(op: SparseOperator, n_steps: int, n_samples: int) -> bo
     return SPECTRAL_MARGIN * spectral_s < rk4_s
 
 
-def _blocks(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray):
+@functools.cache
+def _openblas_threads():
+    """Thread-count getter and setter of the OpenBLAS bundled with numpy
+    (``numpy.libs`` or ``numpy/.dylibs``), or None where there is none."""
+    root = Path(np.__file__).parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        # scipy-openblas (numpy >= 2) or OpenBLAS, with 64-bit integers or not
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def _serial_blas(dim: int):
+    """Run the body on one BLAS thread when ``dim`` <= SERIAL_BLAS_DIM, and
+    restore the previous thread count when it ends, by return or exception.
+
+    Only numpy's bundled OpenBLAS is switched; where it is not found (MKL,
+    Accelerate, a system BLAS) this does nothing.  The count is global to
+    the process, so this is not safe under concurrent calls from Python
+    threads.  A generator must not yield inside the body, or the count stays
+    at 1 for as long as it is suspended.
+    """
+    threads = _openblas_threads() if dim <= SERIAL_BLAS_DIM else None
+    if threads is None:
+        yield
+        return
+    get, set_threads = threads
+    previous = get()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
+def _blocks(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, uniform: bool = False):
     """Yield the rows vecs (coef * exp(lam t_k)) for SPECTRAL_BLOCK
-    consecutive t_k at a time, as views of two buffers reused per block."""
+    consecutive t_k at a time, as views of two buffers reused per block.
+
+    On a ``uniform`` grid the phases coef * exp(lam t_k) of the first block
+    are advanced in place to each next block by exp(lam (t[SPECTRAL_BLOCK] -
+    t[0])), one product instead of one exp per entry.
+    """
     size = min(SPECTRAL_BLOCK, t.size)
     phases = np.empty((size, lam.size), dtype=np.complex128)
     rows = np.empty((size, vecs.shape[0]), dtype=np.complex128)
+    advance = np.exp(lam * (t[size] - t[0])) if uniform and t.size > size else None
     for start in range(0, t.size, size):
         k = min(size, t.size - start)
-        # A broadcast ufunc allocates buffers as large as its output, so the
-        # outer product t_k lam_j is a matmul of t (cast to complex, as a
-        # mixed product would) and coef scales one row at a time; each of
-        # them rounds as the broadcast product does.
-        np.matmul(t[start : start + k, None].astype(np.complex128), lam[None, :], out=phases[:k])
-        np.exp(phases[:k], out=phases[:k])
-        for row in phases[:k]:
-            row *= coef
-        yield np.matmul(phases[:k], vecs.T, out=rows[:k])
+        if start and advance is not None:
+            phases *= advance
+        else:
+            # A broadcast ufunc allocates buffers as large as its output, so
+            # the outer product t_k lam_j is a matmul of t (cast to complex,
+            # as a mixed product would) and coef scales one row at a time;
+            # each of them rounds as the broadcast product does.
+            np.matmul(t[start : start + k, None].astype(np.complex128), lam[None, :], out=phases[:k])
+            np.exp(phases[:k], out=phases[:k])
+            for row in phases[:k]:
+                row *= coef
+        with _serial_blas(lam.size):
+            np.matmul(phases[:k], vecs.T, out=rows[:k])
+        yield rows[:k]
 
 
 def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, y: np.ndarray):
-    """Yield y(t_k) = vecs (coef * exp(lam t_k)) for every t_k, written into
-    ``y``; a real ``y`` (a real generator) takes the real part."""
-    for rows in _blocks(vecs, coef, lam, t):
+    """Yield y(t_k) = vecs (coef * exp(lam t_k)) for every t_k of the
+    uniform grid ``t``, written into ``y``; a real ``y`` (a real generator)
+    takes the real part."""
+    for rows in _blocks(vecs, coef, lam, t, uniform=True):
         for row in rows if np.iscomplexobj(y) else rows.real:
             y[:] = row
             yield y
@@ -259,23 +341,24 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     ``eig``, however small its non-normal part, since over a long run that
     part still matters.
     Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
-    to RK4.
+    to RK4.  The dense work runs under ``_serial_blas``.
     """
     # numpy's LAPACK, so one OpenBLAS serves these and the rebuild's products
     # (scipy links a second copy with its own thread pool)
-    if op.hermitian:
-        w, vecs = np.linalg.eigh(op.to_dense())
-        coef, cond_v = vecs.conj().T @ y, None
-    else:
-        w, vecs = np.linalg.eig(op.to_dense())
-        try:
-            inv = np.linalg.inv(vecs)
-        except np.linalg.LinAlgError:  # exactly defective M
-            return None
-        cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
-        if not cond_v <= COND_V_LIMIT:
-            return None
-        coef = inv @ y
+    with _serial_blas(op.dim):
+        if op.hermitian:
+            w, vecs = np.linalg.eigh(op.to_dense())
+            coef, cond_v = vecs.conj().T @ y, None
+        else:
+            w, vecs = np.linalg.eig(op.to_dense())
+            try:
+                inv = np.linalg.inv(vecs)
+            except np.linalg.LinAlgError:  # exactly defective M
+                return None
+            cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
+            if not cond_v <= COND_V_LIMIT:
+                return None
+            coef = inv @ y
     lam = scale * w
     return Propagation(
         _rebuild(vecs, coef, lam, t, y),

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger
+from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger, _serial_blas
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
@@ -146,7 +146,8 @@ def build_bose_hubbard(basis: FockBasis, j: float, u: float, delta: float) -> Sp
 
 
 def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair: dense solve for small operators, Lanczos above.
+    """Lowest eigenpair: dense solve for small operators (on one BLAS thread
+    up to ``dynamics.SERIAL_BLAS_DIM``), Lanczos above.
 
     The eigenresidual ||H v - E v|| must be below 1e-8 ||H||, otherwise a
     non-convergence error is raised.
@@ -154,7 +155,8 @@ def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
     if op.dim > FULL_BASIS_CAP:
         raise ModelError(f"dimension {op.dim} exceeds the eigensolver cap")
     if op.dim <= DENSE_EIG_CUTOFF:
-        energies, vectors = np.linalg.eigh(op.to_dense())
+        with _serial_blas(op.dim):
+            energies, vectors = np.linalg.eigh(op.to_dense())
         energy, vector = float(energies[0]), vectors[:, 0]
     else:
         import scipy.sparse.linalg  # only here, to keep it out of the package import

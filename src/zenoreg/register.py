@@ -332,9 +332,13 @@ class BrightSector:
         """P^H psi: sector amplitudes of ``state``, whose pair (and molecular)
         amplitudes must be equal within each group, so each is sqrt(size)
         times the shared amplitude.  Raises ModelError for a state with a
-        dark part."""
+        dark part, or with molecular amplitudes given to a sector without
+        molecules."""
         inside = self.index >= 0
-        amps = state.expanded().amplitudes[inside]
+        amps = state.expanded().amplitudes
+        if np.any(amps[~inside]):
+            raise ModelError("state has molecular amplitudes, outside a sector without molecules")
+        amps = amps[inside]
         shared = np.empty(self.dim, dtype=np.complex128)
         shared[self.index[inside]] = amps  # one member's amplitude per sector state
         if not np.array_equal(amps, shared[self.index[inside]]):

@@ -67,6 +67,23 @@ print("scipy.sparse" in sys.modules)
     assert loaded == "False"
 
 
+def test_trajectory_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the spectral run's dense work at dim 101 is serial, so OpenBLAS's
+    # thread count changes no byte of the CSV or the sidecar
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        cmd = [sys.executable, "-m", "zenoreg.cli", "trajectory", "--n", "101"]
+        done = subprocess.run(cmd, cwd=run_dir, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append([(run_dir / f"zenoreg_trajectory.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["diagnostics"]["backend"] == "eig"
+
+
 DT_HELP = "RK4 step (units of 1/U); pins RK4, else an exact backend may run"
 MODELS = "choice[auto|full|eliminated]"
 T_END_HELP = "end time (1/U, or '<x>/J')"

@@ -13,6 +13,7 @@ from conftest import free_params, measurement_test_params
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
+    SPECTRAL_BLOCK,
     THRESHOLD_BLOCK,
     BlochState,
     IntegrationError,
@@ -36,9 +37,11 @@ from zenoreg.dynamics import (
     _rk4,
     _rme_generator,
     _schrodinger,
+    _spectral,
     _spectral_is_cheaper,
     _threshold_draws,
 )
+from zenoreg.oracle import exact_ground_state
 from zenoreg.register import (
     BrightSector,
     ModelError,
@@ -809,6 +812,133 @@ class TestSpectralMasterEquation:
         assert series.backend == "rk4"
 
 
+@pytest.fixture()
+def blas_threads():
+    """The getter and setter of numpy's OpenBLAS thread count, the count set
+    to 2 for the test and put back after it."""
+    threads = dynamics._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_threads = threads
+    before = get()
+    set_threads(2)
+    yield get, set_threads
+    set_threads(before)
+
+
+def record_threads(monkeypatch, get, owner, name, block_products=False):
+    """Wrap ``owner.name`` to record the BLAS thread count at each call; with
+    ``block_products`` only calls whose first operand has more than one
+    column (not the outer product t_k lam_j) are recorded."""
+    seen, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        if not block_products or args[0].shape[-1] > 1:
+            seen.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return seen
+
+
+class TestSerialBlas:
+    def conditioned_run(self, t_end=1.0, max_samples=300):
+        """The eliminated model's run at n = 5 (dim 5, ``eig``)."""
+        return null_trajectory(measurement_test_params(), 5, t_end=t_end, model="eliminated", max_samples=max_samples)
+
+    def test_dense_work_runs_on_one_thread(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        seen = {name: record_threads(monkeypatch, get, np.linalg, name) for name in ("eig", "inv")}
+        products = record_threads(monkeypatch, get, np, "matmul", block_products=True)
+        assert self.conditioned_run().backend == "eig"
+        assert seen == {"eig": [1], "inv": [1]}
+        assert len(products) == 3 and set(products) == {1}  # 300 samples, three blocks
+        assert get() == 2
+
+    def test_hermitian_runs_and_the_oracle_ground_state(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        seen = record_threads(monkeypatch, get, np.linalg, "eigh")
+        assert evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, max_samples=11).backend == "eigh"
+        exact_ground_state(two_level(1.0))
+        assert seen == [1, 1] and get() == 2
+
+    def test_count_untouched_above_the_cutoff(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        monkeypatch.setattr(dynamics, "SERIAL_BLAS_DIM", 4)
+        seen = record_threads(monkeypatch, get, np.linalg, "eig")
+        products = record_threads(monkeypatch, get, np, "matmul", block_products=True)
+        self.conditioned_run()
+        assert seen == [2] and set(products) == {2}
+
+    def test_count_restored_after_an_exception(self, blas_threads, monkeypatch):
+        get, _ = blas_threads
+        seen = []
+
+        def failing(a):
+            seen.append(get())
+            raise RuntimeError("eig failed")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        with pytest.raises(RuntimeError, match="eig failed"):
+            self.conditioned_run()
+        assert seen == [1] and get() == 2
+
+    def test_count_restored_between_samples_and_after_a_dropped_run(self, blas_threads):
+        get, _ = blas_threads
+        _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
+        _, run = _schrodinger(op, psi, 1.0, None, 1000, step)
+        assert run.backend == "eig"
+        points = iter(run)
+        for _ in range(SPECTRAL_BLOCK + 10):  # into the second block
+            next(points)
+            assert get() == 2
+        del points, run
+        assert get() == 2
+
+    def test_results_do_not_depend_on_the_switch(self, blas_threads, monkeypatch, reference_params):
+        # the switch changes the thread count and nothing else: the run with
+        # it matches, bit for bit, a run without it on one thread throughout
+        _, set_threads = blas_threads
+        switched = null_trajectory(reference_params, 101, t_end=30.0)
+        monkeypatch.setattr(dynamics, "_openblas_threads", lambda: None)
+        set_threads(1)
+        plain = null_trajectory(reference_params, 101, t_end=30.0)
+        assert switched.backend == plain.backend == "eig"
+        assert switched.cond_v == plain.cond_v
+        assert np.array_equal(switched.norm_sq, plain.norm_sq)
+        assert np.array_equal(switched.fidelity, plain.fidelity)
+
+
+class TestGridRebuild:
+    @pytest.mark.parametrize("n_samples", [5000, 300, 100])  # 300: a partial last block
+    @pytest.mark.parametrize("generator", ["conditioned", "master equation"])
+    def test_matches_the_direct_blocks(self, reference_params, generator, n_samples):
+        # the grid's phases are advanced block to block; the bisection's
+        # arbitrary times take one exp an entry
+        if generator == "conditioned":
+            _, op, y, _, _ = _conditioned_problem(reference_params, 51, "eliminated")
+            scale, t_end = -1j, 30.0
+        else:
+            p = measurement_test_params(21)
+            basis = build_basis(21)
+            op, _ = _rme_generator(p, basis)
+            rho = ground_reduced_density(basis, p)
+            y = np.concatenate(([rho.rho_tt], rho.rho_ss, rho.rho_st.real, rho.rho_st.imag))
+            scale, t_end = 1.0, 10.0
+        t = np.linspace(0.0, t_end, n_samples)
+        run = _spectral(op, scale, y, t)
+        assert run.backend == "eig"
+        rebuilt = np.array([row.copy() for row in run.points])
+        direct = np.concatenate([b.copy() for b in run.blocks(t)])
+        direct = direct if np.iscomplexobj(y) else direct.real
+        assert rebuilt.shape == direct.shape == (n_samples, op.dim)
+        # the first block is built directly, so it is exact
+        first = min(SPECTRAL_BLOCK, n_samples)
+        assert np.array_equal(rebuilt[:first], direct[:first])
+        error = np.linalg.norm(rebuilt - direct, axis=1)
+        assert np.all(error <= 1e-13 * np.linalg.norm(direct, axis=1))
+
+
 def reference_register(p, model: str, t_end: float):
     """Operator, step count and sample count of a null trajectory at n = 501
     with its defaults."""
@@ -958,6 +1088,14 @@ class TestBrightSector:
         amps = perturbative_ground_state(basis, reference_params).amplitudes.copy()
         amps[basis.s_slots[0]] *= 1.5
         with pytest.raises(ModelError, match="differs within a group"):
+            sector.project(StateVector(basis, amps))
+
+    def test_molecular_amplitudes_refused_without_molecules(self, reference_params):
+        basis = build_basis(5)
+        sector = BrightSector(basis, reference_params.delta_over_u, molecular=False)
+        amps = perturbative_ground_state(basis, reference_params).amplitudes.copy()
+        amps[basis.s_slots + 2] = 0.3
+        with pytest.raises(ModelError, match="molecular amplitudes"):
             sector.project(StateVector(basis, amps))
 
     # builder, layout of its operator, sector with molecules
