@@ -30,13 +30,14 @@ by ``_plan_grid``, the one place a step is checked.  One backend chooser,
 ``_propagate``, serves G = -i H (the wavefunction, the jump ensemble's
 conditioned state and the exact oracle) and the real generator of
 ``_rme_generator`` (the master equation): a given step pins the fixed-step
-RK4 kernel ``_rk4``, the reference; without one, a cost model may instead
-diagonalise G once and rebuild the samples exactly (``_spectral``), when
-that is predicted clearly cheaper and the eigenvectors are well
-conditioned.  The jump ensemble reads one rule off either run; only a jump
-time is read per backend, an RK4 step time or, on the exact curve, a root
-bisected on the closed-form norm.  The 4x4 Bloch system is exact, one
-matrix exponential a gap.
+RK4 kernel ``_rk4``, the reference; without one, a G of dimension up to
+DENSE_EIG_CUTOFF is diagonalised once and the samples are rebuilt exactly
+(``_spectral``), unless its eigenvectors are ill conditioned, and a larger G
+runs RK4.  A real Hermitian H is diagonalised in real arithmetic.  The jump
+ensemble reads one rule off either run; only a jump time is read per
+backend, an RK4 step time or, on the exact curve, a root bisected on the
+closed-form norm.  The 4x4 Bloch system is exact, one matrix exponential a
+gap.
 The spectral backend's dense work (the diagonalisation, V^-1, the rebuild's
 block products) and the oracle's dense eigh run on one BLAS thread up to
 dimension SERIAL_BLAS_DIM (``_serial_blas``): there a second OpenBLAS thread
@@ -93,25 +94,12 @@ SPECTRAL_BLOCK = 128
 # about cond(V) eps.  The spectral samples are used only while that is below
 # NORM_MONOTONE_TOL, the norm rise ``null_trajectory`` treats as a fault.
 COND_V_LIMIT = NORM_MONOTONE_TOL / np.finfo(np.float64).eps
-# Cost model of one run of dy/dt = G y, in seconds (see ``_spectral_is_cheaper``),
-# fitted on a 2-vCPU x86-64 box with numpy's OpenBLAS: an RK4 step took
-# 26-41 us at dim 9 and 69-95 us at dim 1001 (nnz 3001); eigh took 0.6-0.8 s
-# at dim 1001 and 3.9-5.7 s at 2001; eig plus V^-1 took 2.4-3.2 s at dim
-# 1001; the rebuild took 0.26 s for 2001 samples at dim 1001.
-RK4_STEP_S = 3e-5
-RK4_NNZ_S = 1e-8
-EIGH_S = 7e-10
-EIG_S = 3e-9
-REBUILD_S = 1.2e-10
-# Spectral must be predicted this many times cheaper than RK4, so a run the
-# model calls close keeps the RK4 reference.
-SPECTRAL_MARGIN = 2.0
-# The constants above were fitted with OpenBLAS on its default two threads.
 # Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
 # rebuild's block products, the oracle's dense eigh) runs on one thread
-# (``_serial_blas``).  Median seconds of wall / CPU time of one call on the
-# same box, 2 threads vs 1, for register operators at n = dim (eig: the
-# eliminated model's bright sector; eigh: the free Hamiltonian's):
+# (``_serial_blas``).  Median seconds of wall / CPU time of one call on a
+# 2-vCPU x86-64 box with numpy's OpenBLAS, 2 threads vs 1, for register
+# operators at n = dim (eig: the eliminated model's bright sector; eigh: the
+# free Hamiltonian's, diagonalised as a complex matrix):
 #
 #    dim   eig 2 threads   eig 1 thread   eigh 2 threads   eigh 1 thread
 #    501     0.69 / 1.22    0.67 / 0.72      0.20 / 0.31     0.22 / 0.32
@@ -145,7 +133,8 @@ def eliminated_model_step(p: DerivedParams) -> float:
 def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
     """Step count, sample stride, step and uniform output grid.
 
-    Refuses non-finite or non-positive times and a step above ``max_step``.
+    Refuses non-finite or non-positive times, a step above ``max_step`` and
+    a ratio t_end / dt too large to count.
     The grid is linspace(0, t_end, max_samples), with ``max_samples``
     clamped to 2..MAX_OUTPUT_SAMPLES, and depends on nothing else.  The
     step count is rounded up to a whole number of steps a gap, at least
@@ -157,8 +146,11 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
         )
     if dt > max_step * (1.0 + 1e-12):
         raise IntegrationError(f"dt = {dt:.6g} too large; require dt <= {max_step:.6g}")
+    steps = t_end / dt
+    if not math.isfinite(steps):
+        raise IntegrationError(f"t_end / dt overflows (t_end = {t_end:g}, dt = {dt:g})")
     n_gaps = max(2, min(max_samples, MAX_OUTPUT_SAMPLES)) - 1
-    stride = max(1, math.ceil(math.ceil(t_end / dt) / n_gaps))
+    stride = max(1, math.ceil(math.ceil(steps) / n_gaps))
     n_steps = stride * n_gaps
     return n_steps, stride, t_end / n_steps, np.linspace(0.0, t_end, n_gaps + 1)
 
@@ -204,21 +196,6 @@ def _max_step(op: SparseOperator) -> float:
     """Largest accepted RK4 step, 0.05 / frequency_bound (inf for a zero operator)."""
     freq = op.frequency_bound()
     return 0.05 / freq if freq > 0 else math.inf
-
-
-def _spectral_is_cheaper(op: SparseOperator, n_steps: int, n_samples: int) -> bool:
-    """Cost model: spectral is chosen when predicted SPECTRAL_MARGIN times
-    cheaper than RK4 and the operator fits DENSE_EIG_CUTOFF.
-
-    RK4 costs n_steps (RK4_STEP_S + RK4_NNZ_S nnz); spectral costs one dense
-    diagonalisation, EIGH_S d^3 or EIG_S d^3, plus REBUILD_S d^2 a sample.
-    """
-    d = op.dim
-    if d > DENSE_EIG_CUTOFF:
-        return False
-    rk4_s = n_steps * (RK4_STEP_S + RK4_NNZ_S * op.nnz)
-    spectral_s = (EIGH_S if op.hermitian else EIG_S) * d**3 + REBUILD_S * n_samples * d**2
-    return SPECTRAL_MARGIN * spectral_s < rk4_s
 
 
 @functools.cache
@@ -331,15 +308,28 @@ class Propagation:
         return itertools.islice(self.points, 0, None, self.stride)
 
 
+def _dense_eigh(op: SparseOperator):
+    """Eigenvalues and unitary eigenvectors of the Hermitian ``op`` by one
+    dense ``eigh`` under ``_serial_blas``.  A matrix with no imaginary part
+    is diagonalised in real arithmetic; the eigenvectors come back complex
+    either way."""
+    dense = op.to_dense()
+    if not dense.imag.any():
+        dense = dense.real
+    with _serial_blas(op.dim):
+        w, vecs = np.linalg.eigh(dense)
+    return w, vecs.astype(np.complex128, copy=False)
+
+
 def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
     """Exact samples of dy/dt = scale M y from one dense diagonalisation of
     M = ``op.to_dense()``.
 
     M = V diag(w) V^-1 gives y(t) = V (a * exp(scale w t)) with a = V^-1 y(0);
-    ``eigh`` runs, with V unitary, only when ``op`` is marked Hermitian
-    (``SparseOperator.from_coo`` verifies the mark); any other operator takes
-    ``eig``, however small its non-normal part, since over a long run that
-    part still matters.
+    ``eigh`` (``_dense_eigh``) runs, with V unitary, only when ``op`` is
+    marked Hermitian (``SparseOperator.from_coo`` verifies the mark); any
+    other operator takes ``eig``, however small its non-normal part, since
+    over a long run that part still matters.
     Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
     to RK4.  The dense work runs under ``_serial_blas``.
     """
@@ -347,7 +337,7 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     # (scipy links a second copy with its own thread pool)
     with _serial_blas(op.dim):
         if op.hermitian:
-            w, vecs = np.linalg.eigh(op.to_dense())
+            w, vecs = _dense_eigh(op)
             coef, cond_v = vecs.conj().T @ y, None
         else:
             w, vecs = np.linalg.eig(op.to_dense())
@@ -382,9 +372,10 @@ def _propagate(
     """Output grid and sample propagation of dy/dt = scale M y, advancing ``y``.
 
     M = ``op``; scale -1j makes it i dpsi/dt = H psi.
-    A given ``dt`` selects RK4, the reference.  Without it the run is RK4 at
-    ``default_dt`` (``max_step`` if None; t_end when that is infinite) unless
-    ``_spectral_is_cheaper`` picks the exact backend and cond(V) allows it.
+    A given ``dt`` selects RK4, the reference.  Without it an operator of
+    dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
+    cond(V) refuses; a larger one, or a refused one, runs RK4 at
+    ``default_dt`` (``max_step`` if None; t_end when that is infinite).
     Either way the step is checked against ``max_step`` by ``_plan_grid``
     and the samples land on the same grid.
     """
@@ -392,7 +383,7 @@ def _propagate(
     if step is None:
         step = max_step if math.isfinite(max_step) else t_end
     n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
-    if dt is None and _spectral_is_cheaper(op, n_steps, t.size):
+    if dt is None and op.dim <= DENSE_EIG_CUTOFF:
         spectral = _spectral(op, scale, y, t)
         if spectral is not None:
             return t, spectral
@@ -469,10 +460,11 @@ def evolve(
     pins fixed-step RK4, the reference; the step must satisfy
     dt <= 0.05 / (max |diag| + max off-diagonal row sum), and too-large
     steps are refused with the required bound in the message.  Without
-    ``dt`` the run is RK4 at ``default_dt`` (default: that bound) or, when
-    predicted clearly cheaper, exact propagation by one dense
-    diagonalisation; ``backend`` on the result says which ran.  The output
-    grid is linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
+    ``dt`` the run is exact, by one dense diagonalisation, when ``op`` fits
+    DENSE_EIG_CUTOFF, and RK4 at ``default_dt`` (default: that bound)
+    otherwise or when the eigenvectors are ill conditioned; ``backend`` on
+    the result says which ran.  The output grid is linspace(0, t_end,
+    max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
     if amps0.shape[0] != op.dim:

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _schrodinger, _serial_blas
+from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _dense_eigh, _schrodinger
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
@@ -118,7 +118,8 @@ def build_bose_hubbard(basis: FockBasis, j: float, u: float, delta: float) -> Sp
 
     Hopping moves one atom between neighboring sites with amplitude
     -J sqrt(n_from) sqrt(n_to + 1); for a restricted basis only matrix
-    elements between kept states are generated.
+    elements between kept states are generated.  An entry that is not
+    finite (an overflowing delta, U or J) is refused.
     """
     labels = basis.site_labels
     bonds = [(s, s + 1) for s in range(basis.n_sites - 1)]
@@ -129,6 +130,8 @@ def build_bose_hubbard(basis: FockBasis, j: float, u: float, delta: float) -> Sp
     for idx, occ in enumerate(basis.states):
         onsite = 0.5 * u * sum(nj * (nj - 1) for nj in occ)
         trap = delta * float(np.dot(np.asarray(occ, dtype=np.float64), labels**2))
+        if not math.isfinite(onsite + trap):
+            raise ModelError(f"diagonal entry of {occ} is not finite (delta = {delta:g}, U = {u:g})")
         triplets.append((idx, idx, complex(onsite + trap)))
         for a, b in bonds:
             for src, dst in ((a, b), (b, a)):
@@ -141,13 +144,15 @@ def build_bose_hubbard(basis: FockBasis, j: float, u: float, delta: float) -> Sp
                 if target is None:
                     continue
                 amp = -j * math.sqrt(occ[src]) * math.sqrt(occ[dst] + 1)
+                if not math.isfinite(amp):
+                    raise ModelError(f"hopping entry is not finite (J = {j:g})")
                 triplets.append((target, idx, complex(amp)))
     return SparseOperator.from_triplets(basis.dimension, triplets, hermitian=True)
 
 
 def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair: dense solve for small operators (on one BLAS thread
-    up to ``dynamics.SERIAL_BLAS_DIM``), Lanczos above.
+    """Lowest eigenpair: dense solve for small operators (``dynamics._dense_eigh``),
+    Lanczos above.
 
     The eigenresidual ||H v - E v|| must be below 1e-8 ||H||, otherwise a
     non-convergence error is raised.
@@ -155,14 +160,12 @@ def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
     if op.dim > FULL_BASIS_CAP:
         raise ModelError(f"dimension {op.dim} exceeds the eigensolver cap")
     if op.dim <= DENSE_EIG_CUTOFF:
-        with _serial_blas(op.dim):
-            energies, vectors = np.linalg.eigh(op.to_dense())
-        energy, vector = float(energies[0]), vectors[:, 0]
+        energies, vectors = _dense_eigh(op)
     else:
         import scipy.sparse.linalg  # only here, to keep it out of the package import
 
         energies, vectors = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA")
-        energy, vector = float(energies[0]), vectors[:, 0]
+    energy, vector = float(energies[0]), vectors[:, 0]
     scale = op.frequency_bound()
     residual = float(np.linalg.norm(op.matvec(vector) - energy * vector))
     if residual > 1e-8 * max(scale, 1.0):
@@ -184,8 +187,8 @@ def exact_evolve_fidelity(
     Returns F(t) = |<unit-filled|psi(t)>|^2 on a uniform grid with the
     energy <H>; the norm is conserved (Hermitian evolution) and reported
     for drift checks.  A given ``dt`` pins RK4, the reference; without it
-    the evolution is exact by one dense ``eigh`` whenever the cost model in
-    ``dynamics._propagate`` finds that cheaper (``backend`` on the result).
+    the evolution is exact by one dense ``eigh`` whenever the basis fits
+    ``dynamics.DENSE_EIG_CUTOFF`` (``backend`` on the result).
     """
     if basis.n_atoms != basis.n_sites:
         raise ModelError("free-evolution fidelity requires N = M")

@@ -26,7 +26,6 @@ from the perturbative ground state never leaves.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -263,16 +262,6 @@ class StateVector:
         amps = np.zeros(self.basis.dimension, dtype=np.complex128)
         amps[np.r_[0, self.basis.s_slots]] = self.amplitudes
         return StateVector(self.basis, amps)
-
-    def to_json(self) -> str:
-        amps = [[float(a.real), float(a.imag)] for a in self.amplitudes]
-        return json.dumps({"n": self.basis.n, "amplitudes": amps})
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateVector":
-        data = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]], dtype=np.complex128)
-        return cls(RestrictedBasis(int(data["n"])), amps)
 
 
 def fidelity(psi: StateVector) -> float:

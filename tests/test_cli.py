@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -330,6 +331,11 @@ class TestIntegrationErrorExitCode:
             (["trajectory", "--n", "5", "--t-end", "1e12"], "conditioned state vanished"),
             (["ensemble", "--n", "5", "--seed", "-1", "--t-end", "1"], "seed must be >= 0, got -1"),
             (["ensemble", "--n", "5", "--traj", "0", "--t-end", "1"], "n_traj must be >= 1, got 0"),
+            (["trajectory", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
+            (["free", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
+            (["nonselective", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
+            (["ensemble", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
+            (["oracle", "--atoms", "3", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):
@@ -337,6 +343,17 @@ class TestIntegrationErrorExitCode:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
+
+    @pytest.mark.parametrize("delta", ["1e308", "-1e308"])
+    def test_overflowing_trap_scale_exits_2(self, runner, tmp_path, delta):
+        # the trap energy delta j^2 overflows: refused by name, with no
+        # numpy warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["oracle", "--atoms", "3", "--delta-over-u", delta, "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"is not finite (delta = {float(delta):g}" in result.output
 
 
 class TestUnwritableOutput:

@@ -38,7 +38,6 @@ from zenoreg.dynamics import (
     _rme_generator,
     _schrodinger,
     _spectral,
-    _spectral_is_cheaper,
     _threshold_draws,
 )
 from zenoreg.oracle import exact_ground_state
@@ -939,35 +938,63 @@ class TestGridRebuild:
         assert np.all(error <= 1e-13 * np.linalg.norm(direct, axis=1))
 
 
-def reference_register(p, model: str, t_end: float):
-    """Operator, step count and sample count of a null trajectory at n = 501
-    with its defaults."""
-    _, op, _, step, _ = _conditioned_problem(p, 501, model)
-    n_steps, _, _, t = _plan_grid(t_end, step, _max_step(op), 5000)
-    return op, n_steps, t.size
-
-
 def jordan_like(eta: float) -> SparseOperator:
     """[[-i, 1], [eta, -i]]: eigenvectors (1, +-sqrt(eta)), cond(V) ~ 1/sqrt(eta)."""
     return SparseOperator.from_triplets(2, [(0, 0, -1j), (0, 1, 1.0), (1, 0, complex(eta)), (1, 1, -1j)])
 
 
 class TestBackendChoice:
-    def test_cli_trajectory_goes_spectral_on_the_bright_sector(self, reference_params):
-        # the CLI's default trajectory: one eig of dim 501 against ~50k RK4
-        # steps; on the unreduced T+S operator (dim 1001) RK4 still wins
-        op, n_steps, n_samples = reference_register(reference_params, "eliminated", 30.0)
-        assert op.dim == 501
-        assert _spectral_is_cheaper(op, n_steps, n_samples)
-        unreduced = build_eliminated_hamiltonian(build_basis(501), reference_params)
-        n_steps, _, _, t = _plan_grid(30.0, eliminated_model_step(reference_params), _max_step(unreduced), 5000)
-        assert not _spectral_is_cheaper(unreduced, n_steps, t.size)
+    @pytest.mark.parametrize("n_steps", [1, 3, 5000])
+    def test_unpinned_runs_below_the_cap_are_exact(self, reference_params, n_steps):
+        # no cost model: a run of a few steps goes spectral as a long one does
+        _, op, psi, step, _ = _conditioned_problem(reference_params, 5, "eliminated")
+        assert _plan_grid(n_steps * step, step, _max_step(op), 2)[0] == n_steps
+        _, run = _schrodinger(op, psi, n_steps * step, None, 2, step)
+        assert run.backend == "eig"
+        h = two_level(1.0)
+        _, run = _schrodinger(h, np.array([1.0, 0.0], dtype=complex), n_steps * _max_step(h), None, 2)
+        assert run.backend == "eigh"
 
-    def test_full_model_goes_spectral(self, reference_params):
-        # criterion 2's full model: 3.4M stiff RK4 steps against one eig of dim 2001
-        op, n_steps, n_samples = reference_register(reference_params, "full", 20.0)
-        assert _spectral_is_cheaper(op, n_steps, n_samples)
-        assert not _spectral_is_cheaper(replace(op, dim=DENSE_EIG_CUTOFF + 1), n_steps, n_samples)
+    def test_operator_above_the_cap_runs_rk4(self, reference_params, monkeypatch):
+        # with the cap below the operator's dim, the unpinned run is the RK4
+        # run at the model's default step
+        monkeypatch.setattr(dynamics, "DENSE_EIG_CUTOFF", 2)
+        series = null_trajectory(reference_params, 5, t_end=1.0, model="eliminated", max_samples=11)
+        pinned = null_trajectory(
+            reference_params, 5, t_end=1.0, model="eliminated", dt=eliminated_model_step(reference_params), max_samples=11
+        )
+        assert series.backend == pinned.backend == "rk4" and series.cond_v is None
+        assert np.array_equal(series.norm_sq, pinned.norm_sq)
+        assert np.array_equal(series.fidelity, pinned.fidelity)
+
+    @pytest.mark.parametrize("imaginary", [False, True])
+    def test_real_hermitian_operator_is_diagonalised_in_real_arithmetic(self, reference_params, monkeypatch, imaginary):
+        # the free Hamiltonian on the bright sector at n = 51 is real; a
+        # Hermitian operator with an imaginary entry stays complex
+        p = reference_params
+        basis = build_basis(51)
+        op = BrightSector(basis, p.delta_over_u, molecular=False).restrict(build_free_hamiltonian(basis, p))
+        if imaginary:
+            op = replace(op, vals=op.vals * np.where(op.rows < op.cols, 1j, np.where(op.rows > op.cols, -1j, 1.0)))
+            assert op.is_hermitian()
+        dtypes, eigh = [], np.linalg.eigh
+
+        def recorded(a):
+            dtypes.append(a.dtype)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        psi0 = np.zeros(op.dim, dtype=np.complex128)
+        psi0[0] = 1.0
+        series = evolve(op, psi0, t_end=0.5 / p.j_over_u, max_samples=2001)
+        assert series.backend == "eigh"
+        assert dtypes == [np.complex128 if imaginary else np.float64]
+        # against complex eigh of the same matrix, rebuilt sample by sample
+        w, v = eigh(op.to_dense())
+        psi = v @ ((v.conj().T @ psi0)[:, None] * np.exp(-1j * np.outer(w, series.t)))
+        norm = np.sum(np.abs(psi) ** 2, axis=0)
+        assert np.max(np.abs(series.norm_sq - norm)) <= 1e-12
+        assert np.max(np.abs(series.fidelity - np.abs(psi[0]) ** 2 / norm)) <= 1e-12
 
     def test_given_step_pins_rk4(self, reference_params):
         series = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, dt=0.01, max_samples=11)

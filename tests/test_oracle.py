@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,13 @@ class TestBoseHubbardMatrix:
     def test_hermitian(self):
         op = build_bose_hubbard(fock_basis(4, 4, "periodic"), 0.02, 1.0, 1e-3)
         assert op.is_hermitian(1e-12)
+
+    @pytest.mark.parametrize(
+        "j, delta, message", [(1e308, 0.0, "hopping entry is not finite (J = 1e+308)"), (0.01, 1e308, "(delta = 1e+308")]
+    )
+    def test_overflowing_entry_is_refused(self, j, delta, message):
+        with pytest.raises(ModelError, match=re.escape(message)):
+            build_bose_hubbard(fock_basis(3, 3), j, 1.0, delta)
 
 
 class TestExactGroundState:

@@ -290,12 +290,6 @@ class TestFidelity:
 
 
 class TestStateVector:
-    def test_json_roundtrip(self, reference_params):
-        psi = perturbative_ground_state(build_basis(5), reference_params)
-        again = StateVector.from_json(psi.to_json())
-        assert again.basis.n == 5
-        assert np.allclose(again.amplitudes, psi.amplitudes)
-
     def test_reduced_projection(self, reference_params):
         psi = perturbative_ground_state(build_basis(5), reference_params)
         red = psi.reduced()
