@@ -33,11 +33,16 @@ conditioned state and the exact oracle) and the real generator of
 RK4 kernel ``_rk4``, the reference; without one, a G of dimension up to
 DENSE_EIG_CUTOFF is diagonalised once and the samples are rebuilt exactly
 (``_spectral``), unless its eigenvectors are ill conditioned, and a larger G
-runs RK4.  A real Hermitian H is diagonalised in real arithmetic.  The jump
-ensemble reads one rule off either run; only a jump time is read per
-backend, an RK4 step time or, on the exact curve, a root bisected on the
-closed-form norm.  The 4x4 Bloch system is exact, one matrix exponential a
-gap.
+runs RK4.  A real Hermitian H is diagonalised in real arithmetic.  A complex
+symmetric arrowhead H, the eliminated model's bright operator, is
+diagonalised in O(dim^2) from its secular equation (``_secular_eig``): its
+roots are accepted only when Löwner's couplings certify them to rounding,
+and any other non-Hermitian G, or uncertified roots, take LAPACK's dense
+eig.  A spectral run whose phases lam t would be only rounding is refused.
+The jump ensemble reads one rule off either run; only a jump time is read
+per backend, an RK4 step time or, on the exact curve, a root bisected on
+the closed-form norm.  The 4x4 Bloch system is exact, one matrix
+exponential a gap.
 The spectral backend's dense work (the diagonalisation, V^-1, the rebuild's
 block products) and the oracle's dense eigh run on one BLAS thread up to
 dimension SERIAL_BLAS_DIM (``_serial_blas``): there a second OpenBLAS thread
@@ -93,13 +98,28 @@ SPECTRAL_BLOCK = 128
 # Rebuilding psi(t) = V (a * exp(lam t)) rounds with a relative error of
 # about cond(V) eps.  The spectral samples are used only while that is below
 # NORM_MONOTONE_TOL, the norm rise ``null_trajectory`` treats as a fault.
-COND_V_LIMIT = NORM_MONOTONE_TOL / np.finfo(np.float64).eps
+EPS = np.finfo(np.float64).eps
+COND_V_LIMIT = NORM_MONOTONE_TOL / EPS
+# A complex symmetric arrowhead's roots (``_secular_eig``) are accepted when
+# Löwner's couplings reproduce every c_g^2, and the roots the trace, within
+# SECULAR_CERTIFICATE (m + 1) eps: each of the product's m + 1 factors and
+# each term of the trace is formed in about four rounded complex operations.
+SECULAR_CERTIFICATE = 4
+# Newton iterations a secular root may take.  From its one-pole start a root
+# whose coupling is weak against its pole spacing converges quadratically in
+# 3-6; one that needs more sits among strongly coupled poles, where the
+# start is poor and the certificate declines anyway, so the cap keeps that
+# decline cheap.
+SECULAR_ITERATIONS = 12
 # Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
 # rebuild's block products, the oracle's dense eigh) runs on one thread
 # (``_serial_blas``).  Median seconds of wall / CPU time of one call on a
 # 2-vCPU x86-64 box with numpy's OpenBLAS, 2 threads vs 1, for register
-# operators at n = dim (eig: the eliminated model's bright sector; eigh: the
-# free Hamiltonian's, diagonalised as a complex matrix):
+# operators at n = dim (eig: LAPACK on the eliminated model's bright sector,
+# which ``_secular_eig`` now solves without LAPACK in 0.03-0.07 s at dim 501,
+# so the column stands for a dense non-Hermitian operator of that size, such
+# as the full model's sector at n <= 256; eigh: the free Hamiltonian's,
+# diagonalised as a complex matrix):
 #
 #    dim   eig 2 threads   eig 1 thread   eigh 2 threads   eigh 1 thread
 #    501     0.69 / 1.22    0.67 / 0.72      0.20 / 0.31     0.22 / 0.32
@@ -290,7 +310,8 @@ class Propagation:
     ``points`` yields the state buffer at times k h, k = 0, 1, ...: after
     every RK4 step, or at every grid point of a spectral run; every
     ``stride``-th of them is a grid point, and iterating yields just those.
-    ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig";
+    ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig" (any
+    other G, from its secular equation or by LAPACK);
     ``cond_v`` is the 1-norm condition number of the eigenvector matrix when
     "eig" ran, None otherwise.  A spectral run also gives ``blocks(times)``,
     the exact states at any times, yielded as in ``_blocks``; it is None for
@@ -321,17 +342,152 @@ def _dense_eigh(op: SparseOperator):
     return w, vecs.astype(np.complex128, copy=False)
 
 
+def _arrowhead_entries(op: SparseOperator):
+    """(a0, d, c) when ``op`` is the complex symmetric arrowhead with a0 at
+    (0, 0), the distinct poles d on the rest of the diagonal and the
+    nonzero finite couplings c in row 0 and column 0, else None.  Read off
+    the canonical COO arrays (row 0 first, each row by column)."""
+    m = op.dim - 1
+    rows, cols, vals = op.rows, op.cols, op.vals
+    off = rows != cols
+    in_row, in_col = off & (rows == 0), off & (cols == 0)
+    # m entries each and no other off-diagonal one: row 0 then holds
+    # columns 1..m in order, and column 0 rows 1..m
+    if m < 1 or (np.count_nonzero(in_row), np.count_nonzero(in_col), np.count_nonzero(off)) != (m, m, 2 * m):
+        return None
+    c = vals[in_row].astype(np.complex128)
+    diagonal = np.zeros(op.dim, dtype=np.complex128)
+    diagonal[rows[~off]] = vals[~off]
+    d = diagonal[1:]
+    finite = np.all(np.isfinite(diagonal)) and np.all(np.isfinite(c))
+    if not (finite and np.array_equal(c, vals[in_col]) and np.all(c != 0) and np.unique(d).size == m):
+        return None
+    return diagonal[0], d, c
+
+
+def _secular_roots(a0: complex, d: np.ndarray, c: np.ndarray):
+    """Roots of the arrowhead (a0, d, c) relative to their origins, tau, and
+    Löwner's couplings squared, chat^2, or None when the roots fail their
+    certificate.
+
+    The roots of f(lam) = lam - a0 - sum_h c_h^2 / (lam - d_h) are found by
+    Newton, vectorised over the roots: one per pole g as tau_g = lam_g - d_g
+    and one (T's) as tau_0 = lam_0 - a0, so no root loses digits to its
+    origin; each starts from its one-pole estimate.  Löwner's formula (Gu &
+    Eisenstat 1995) gives the couplings chat of the arrowhead whose spectrum
+    the roots are exactly.  They are accepted only when every Newton run
+    converged and chat^2 matches c^2, and the roots the trace, within
+    SECULAR_CERTIFICATE.
+    """
+    m = d.size
+    c2 = c * c
+    origin = np.concatenate(([a0], d))
+    # lam_k - d_h = gaps[k, h] + tau_k, exact where h is root k's own pole
+    gaps = origin[:, None] - d
+    own = (np.arange(1, m + 1), np.arange(m))
+    with np.errstate(all="ignore"):
+        recip = np.divide(1.0, gaps)  # then 1 / (lam_k - d_h) of the live roots
+        recip[own] = 0.0
+        pull = recip @ c2
+        tau = np.concatenate(([pull[0]], c2 / (d - a0 - pull[1:])))
+        live = np.arange(m + 1)
+        for _ in range(SECULAR_ITERATIONS):
+            r = np.take(gaps, live, axis=0, out=recip[: live.size])
+            r += tau[live, None]
+            np.reciprocal(r, out=r)
+            f = origin[live] - a0 + tau[live] - r @ c2
+            # f is zero to within the rounding of its m + 2 terms
+            magnitude = np.abs(origin[live] - a0) + np.abs(tau[live]) + np.abs(r) @ np.abs(c2)
+            converged = np.abs(f) <= (m + 2) * EPS * magnitude
+            r *= r
+            tau[live] -= f / (1.0 + r @ c2)
+            live = live[~converged]
+            if not live.size:
+                break
+        else:
+            return None
+        lam_d = np.add(gaps, tau[:, None], out=recip)
+        # chat_g^2 = tau_g (d_g - a0 - tau_0) prod_{h != g} (lam_h - d_g) / (d_h - d_g)
+        factors = np.divide(lam_d[1:], gaps[1:], out=gaps[1:])
+        factors[own[1], own[1]] = 1.0
+        chat2 = tau[1:] * -lam_d[0] * np.prod(factors, axis=0)
+        bound = SECULAR_CERTIFICATE * (m + 1) * EPS
+        if np.max(np.abs(chat2 / c2 - 1.0)) <= bound and abs(tau.sum()) <= bound * np.abs(tau).sum():
+            return tau, chat2
+    return None
+
+
+def _secular_eig(op: SparseOperator):
+    """Eigenvalues w, unit eigenvectors V and V^-1 of a complex symmetric
+    arrowhead (``_arrowhead_entries``) from its secular equation
+    (``_secular_roots``), in O(dim^2) time and memory; None when ``op`` is
+    no such arrowhead or its roots fail their certificate.
+
+    The vectors (1, chat / (lam_k - d)) are exact for the arrowhead with
+    Löwner's couplings chat, which is complex symmetric, so
+    V^-1 = diag(1 / v_k^T v_k) V^T.
+    """
+    entries = _arrowhead_entries(op)
+    roots = entries and _secular_roots(*entries)
+    if not roots:
+        return None
+    (a0, d, c), (tau, chat2) = entries, roots
+    origin = np.concatenate(([a0], d))
+    vecs = np.empty((op.dim, op.dim), dtype=np.complex128)
+    vecs[0] = 1.0
+    with np.errstate(all="ignore"):
+        lam_d = np.subtract(origin, d[:, None], out=vecs[1:])
+        lam_d += tau
+        np.divide((c * np.sqrt(chat2 / (c * c)))[:, None], lam_d, out=vecs[1:])
+        vecs /= np.sqrt(np.vecdot(vecs, vecs, axis=0).real)
+        inv = vecs.T / np.einsum("ij,ij->j", vecs, vecs)[:, None]
+    return origin + tau, vecs, inv
+
+
+def _dense_eig(op: SparseOperator):
+    """Eigenvalues w, eigenvectors V and V^-1 by LAPACK; None when V is
+    exactly singular (a defective M)."""
+    w, vecs = np.linalg.eig(op.to_dense())
+    try:
+        return w, vecs, np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _refuse_lost_phases(lam: np.ndarray, t_end: float) -> None:
+    """Refuse a spectral run whose rebuilt phases have no correct digit.
+
+    The phase lam t of a mode rounds by about eps |lam| t, an error carried
+    with the mode's weight exp(Re lam t) <= 1; the worst over t <= t_end is
+    at t = min(t_end, 1 / decay).  It must stay below NORM_MONOTONE_TOL,
+    the budget COND_V_LIMIT gives the rebuild."""
+    decay = np.maximum(-lam.real, 0.0)
+    with np.errstate(over="ignore"):
+        worst = t_end / np.maximum(1.0, decay * t_end)
+        lost = float(np.max(EPS * np.abs(lam) * worst * np.exp(-decay * worst), initial=0.0))
+    if not lost <= NORM_MONOTONE_TOL:
+        raise IntegrationError(
+            f"t_end = {t_end:g} is too long for exact propagation: rounding of the "
+            f"phases lam t reaches {lost:.3g} (at most {NORM_MONOTONE_TOL:g})"
+        )
+
+
 def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) -> Propagation | None:
-    """Exact samples of dy/dt = scale M y from one dense diagonalisation of
-    M = ``op.to_dense()``.
+    """Exact samples of dy/dt = scale M y from one diagonalisation of
+    M = ``op``.
 
     M = V diag(w) V^-1 gives y(t) = V (a * exp(scale w t)) with a = V^-1 y(0);
     ``eigh`` (``_dense_eigh``) runs, with V unitary, only when ``op`` is
     marked Hermitian (``SparseOperator.from_coo`` verifies the mark); any
-    other operator takes ``eig``, however small its non-normal part, since
-    over a long run that part still matters.
+    other operator takes the "eig" backend, however small its non-normal
+    part, since over a long run that part still matters.  There a complex
+    symmetric arrowhead (the eliminated model's bright operator) is solved
+    from its secular equation in O(dim^2) (``_secular_eig``); any other M,
+    or an arrowhead whose roots fail their certificate, takes LAPACK's dense
+    ``eig`` and ``inv`` (``_dense_eig``).
     Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
-    to RK4.  The dense work runs under ``_serial_blas``.
+    to RK4, and refuses a ``t`` whose phases would be only rounding
+    (``_refuse_lost_phases``).  The dense work runs under ``_serial_blas``.
     """
     # numpy's LAPACK, so one OpenBLAS serves these and the rebuild's products
     # (scipy links a second copy with its own thread pool)
@@ -340,16 +496,16 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
             w, vecs = _dense_eigh(op)
             coef, cond_v = vecs.conj().T @ y, None
         else:
-            w, vecs = np.linalg.eig(op.to_dense())
-            try:
-                inv = np.linalg.inv(vecs)
-            except np.linalg.LinAlgError:  # exactly defective M
+            decomposition = _secular_eig(op) or _dense_eig(op)
+            if decomposition is None:
                 return None
+            w, vecs, inv = decomposition
             cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
             if not cond_v <= COND_V_LIMIT:
                 return None
             coef = inv @ y
     lam = scale * w
+    _refuse_lost_phases(lam, t[-1])
     return Propagation(
         _rebuild(vecs, coef, lam, t, y),
         t[1],
@@ -460,11 +616,11 @@ def evolve(
     pins fixed-step RK4, the reference; the step must satisfy
     dt <= 0.05 / (max |diag| + max off-diagonal row sum), and too-large
     steps are refused with the required bound in the message.  Without
-    ``dt`` the run is exact, by one dense diagonalisation, when ``op`` fits
-    DENSE_EIG_CUTOFF, and RK4 at ``default_dt`` (default: that bound)
-    otherwise or when the eigenvectors are ill conditioned; ``backend`` on
-    the result says which ran.  The output grid is linspace(0, t_end,
-    max_samples), max_samples clamped to 2..5000.
+    ``dt`` the run is exact, by one diagonalisation (``_spectral``), when
+    ``op`` fits DENSE_EIG_CUTOFF, and RK4 at ``default_dt`` (default: that
+    bound) otherwise or when the eigenvectors are ill conditioned;
+    ``backend`` on the result says which ran.  The output grid is
+    linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
     if amps0.shape[0] != op.dim:

@@ -18,7 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DENSE_EIG_CUTOFF, MAX_OUTPUT_SAMPLES, TrajectorySeries, _dense_eigh, _schrodinger
+from .dynamics import (
+    DENSE_EIG_CUTOFF,
+    MAX_OUTPUT_SAMPLES,
+    SPECTRAL_BLOCK,
+    TrajectorySeries,
+    _dense_eigh,
+    _schrodinger,
+)
 from .register import ModelError, SparseOperator
 
 FULL_BASIS_CAP = 20_000
@@ -200,10 +207,15 @@ def exact_evolve_fidelity(
     fid = np.empty(t.size)
     norm = np.empty(t.size)
     energy = np.empty(t.size)
+    # <H> is summed over the entries once per block of SPECTRAL_BLOCK states
+    block = np.empty((min(SPECTRAL_BLOCK, t.size), op.dim), dtype=np.complex128)
     for i, y in enumerate(run):
         norm[i] = np.vdot(y, y).real
         fid[i] = abs(y[target]) ** 2  # overlap with the unit-filled state
-        energy[i] = np.vdot(y, op.matvec(y)).real / norm[i]
+        k = i % len(block)
+        block[k] = y
+        if k == len(block) - 1 or i == t.size - 1:
+            energy[i - k : i + 1] = op.expectations(block[: k + 1]) / norm[i - k : i + 1]
     return TrajectorySeries(
         t=t, fidelity=fid, norm_sq=norm, energy=energy, backend=run.backend, cond_v=run.cond_v
     )

@@ -194,6 +194,15 @@ class SparseOperator:
 
     __matmul__ = matvec
 
+    def expectations(self, states: np.ndarray) -> np.ndarray:
+        """Re <y|op|y> for every row y of ``states``, summed over the entries."""
+        bra = states[:, self.rows]
+        np.conjugate(bra, out=bra)
+        products = states[:, self.cols]
+        products *= self.vals
+        products *= bra
+        return products.sum(axis=1).real
+
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=self.vals.dtype)
         out[self.rows, self.cols] += self.vals  # onto zeros, as CSR's toarray: -0.0 reads 0.0

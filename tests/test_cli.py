@@ -336,6 +336,8 @@ class TestIntegrationErrorExitCode:
             (["nonselective", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
             (["ensemble", "--n", "5", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
             (["oracle", "--atoms", "3", "--t-end", "1e308"], "t_end / dt overflows (t_end = 1e+308, dt ="),
+            (["free", "--n", "5", "--t-end", "1e300"], "is too long for exact propagation"),
+            (["oracle", "--atoms", "3", "--t-end", "1e300"], "is too long for exact propagation"),
         ],
     )
     def test_refused_step_exits_2(self, runner, tmp_path, args, message):

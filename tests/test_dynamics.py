@@ -544,6 +544,7 @@ def arrowheads(draw, damped: bool = True):
     return op, psi0 / np.linalg.norm(psi0)
 
 
+@pytest.mark.filterwarnings("error")  # the secular solver's divisions leak no RuntimeWarning
 class TestKernelProperties:
     @settings(max_examples=40)
     @given(problem=arrowheads(), t_end=st.floats(0.1, 10.0))
@@ -1025,6 +1026,14 @@ class TestBackendChoice:
         assert series.backend == "eig"
         assert np.allclose(series.norm_sq, np.exp(-np.linspace(0.0, 2.0, 5)), rtol=1e-12)
 
+    def test_phases_without_a_correct_digit_refused(self):
+        # eps |lam| t_end = 2.2e-6 on an undamped mode; a mode damped at
+        # rate 1 carries its phase error only while it lasts, t ~ 1
+        with pytest.raises(IntegrationError, match="t_end = 1e\\+10 is too long for exact propagation"):
+            evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1e10, max_samples=11)
+        damped = SparseOperator.from_triplets(2, [(0, 0, 1.0 - 1.0j), (0, 1, 0.5), (1, 0, 0.5), (1, 1, 2.0 - 1.0j)])
+        assert evolve(damped, np.array([1.0, 0.0]), t_end=1e10, max_samples=11).backend == "eig"
+
     def test_non_normal_generator_below_the_guard(self):
         # cond(V) ~ 100, far below COND_V_LIMIT; eig runs and agrees
         op = jordan_like(1e-4)
@@ -1034,6 +1043,96 @@ class TestBackendChoice:
         assert series.backend == "eig" and 10.0 < series.cond_v < 1e3
         assert np.max(np.abs(series.norm_sq - rk4.norm_sq)) < 1e-10
         assert np.max(np.abs(series.fidelity - rk4.fidelity)) < 1e-10
+
+
+def send_to_lapack(monkeypatch):
+    """Decline every structured decomposition, so non-Hermitian operators
+    take LAPACK's eig + inv."""
+    monkeypatch.setattr(dynamics, "_secular_eig", lambda op: None)
+
+
+def spectral_states(op, psi0, t):
+    """The spectral run of i dpsi/dt = op psi on ``t`` and its states."""
+    run = _spectral(op, -1j, np.array(psi0, dtype=np.complex128), t)
+    return run, np.array([y.copy() for y in run.points])
+
+
+def arrowhead(poles, row, column=None, a0=0.0):
+    """Arrowhead with a0 at (0, 0), ``poles`` on the rest of the diagonal,
+    ``row`` in row 0 and ``column`` (default: ``row``) in column 0; a
+    coupling of None is left out."""
+    column = row if column is None else column
+    triplets = [(0, 0, complex(a0))]
+    for k, (d, r, c) in enumerate(zip(poles, row, column), start=1):
+        triplets += [(k, k, complex(d))] + [e for e in ((0, k, r), (k, 0, c)) if e[2] is not None]
+    return SparseOperator.from_triplets(len(poles) + 1, triplets)
+
+
+POLES = [1.0 - 0.1j, 1.5 - 0.2j, 2.0]
+DECLINED = {
+    "equal poles": lambda p: arrowhead([1.0 - 0.1j, 1.0 - 0.1j, 2.0], [0.3, 0.2, 0.1]),
+    "zero coupling": lambda p: arrowhead(POLES, [0.3, 0.0, 0.1]),
+    "missing coupling": lambda p: arrowhead(POLES, [0.3, None, 0.1]),
+    "row 0 != column 0": lambda p: arrowhead(POLES, [0.3, 0.2, 0.1], [0.3, 0.2, 0.1 + 1e-12]),
+    "full model": lambda p: _conditioned_problem(p, 5, "full")[1],
+    # coupling 0.038 against a pole spacing of 2e-4
+    "strong coupling": lambda p: _conditioned_problem(measurement_test_params(), 5, "eliminated")[1],
+}
+
+
+class TestSecularSolver:
+    @pytest.mark.parametrize("n", [3, 5, 51, 501])
+    def test_matches_lapack(self, reference_params, monkeypatch, n):
+        _, op, psi0, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+        assert dynamics._secular_eig(op) is not None
+        t = np.linspace(0.0, 30.0, 301)
+        structured, states = spectral_states(op, psi0, t)
+        send_to_lapack(monkeypatch)
+        dense, ref = spectral_states(op, psi0, t)
+        assert structured.backend == dense.backend == "eig"
+        assert structured.cond_v == pytest.approx(dense.cond_v, rel=1e-8)
+        assert np.max(np.abs(states - ref)) <= 1e-13
+        norm, norm_ref = (np.sum(np.abs(s) ** 2, axis=1) for s in (states, ref))
+        assert np.max(np.abs(norm - norm_ref)) <= 1e-13
+
+    def test_default_trajectory_calls_no_lapack(self, reference_params, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        for name in ("eig", "inv"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        series = null_trajectory(reference_params, 501, t_end=30.0)
+        assert series.backend == "eig" and 1.0 <= series.cond_v < 10.0
+
+    @pytest.mark.parametrize("case", DECLINED)
+    def test_declined_operators_take_lapack_bit_for_bit(self, reference_params, monkeypatch, case):
+        op = DECLINED[case](reference_params)
+        assert dynamics._secular_eig(op) is None
+        calls = record_threads(monkeypatch, lambda: None, np.linalg, "eig")  # an entry a call
+        psi0 = np.arange(1.0, op.dim + 1.0) / np.linalg.norm(np.arange(1.0, op.dim + 1.0))
+        t = np.linspace(0.0, 5.0, 51)
+        run, states = spectral_states(op, psi0, t)
+        send_to_lapack(monkeypatch)
+        dense, ref = spectral_states(op, psi0, t)
+        assert len(calls) == 2
+        assert run.backend == dense.backend == "eig" and run.cond_v == dense.cond_v
+        assert np.array_equal(states, ref)
+
+    @settings(max_examples=200)
+    @given(problem=st.one_of(arrowheads(), arrowheads(damped=False)), t_end=st.floats(0.1, 10.0))
+    @pytest.mark.filterwarnings("error")
+    def test_arrowheads_agree_with_lapack_or_decline(self, problem, t_end):
+        # both decompositions are backward stable, so the states they
+        # rebuild agree to the rebuild's rounding, cond(V) eps
+        op, psi0 = problem
+        structured = dynamics._secular_eig(op)
+        if structured is None:  # declined: LAPACK runs, as tested above
+            return
+        t = np.linspace(0.0, t_end, 11)
+        dense = dynamics._dense_eig(op)
+        exact, ref = (vecs @ ((inv @ psi0)[:, None] * np.exp(-1j * np.outer(w, t))) for w, vecs, inv in (structured, dense))
+        cond_v = np.linalg.norm(dense[1], 1) * np.linalg.norm(dense[2], 1)
+        assert np.max(np.abs(exact - ref)) <= 100 * cond_v * np.finfo(float).eps
 
 
 def unreduced_problem(p, n: int, model: str):
