@@ -293,7 +293,11 @@ def nonselective(config, n, u_over_j, strict, hz, dt, t_end, out):
         manifest,
         [name, "rho_tt_master", "rho_tt_bloch", "rho_tt_closed", "trace_master"],
         [tcol, rme.rho_tt, bloch_tt, closed, rme.trace],
-        extra={"zeno_rate_over_u": zeno_decay_rate(p, n_reg), "diagnostics": rme.diagnostics()},
+        extra={
+            "zeno_rate_over_u": zeno_decay_rate(p, n_reg),
+            "diagnostics": rme.diagnostics(),
+            "bloch_diagnostics": bloch.diagnostics(),
+        },
     )
 
 

@@ -13,8 +13,8 @@ levels of description are implemented, from most to least microscopic:
    is that one trajectory's norm curve inverted against N thresholds.
 3. The reduced master equation for (rho_TT, rho_SS, rho_ST) with per-state
    coherence damping kappa_j and uniform population damping 2 kappa.
-4. A pseudo two-state Bloch system (u, v, w, x) and its closed-form
-   solution rho_TT(t) = rho_TT(0) exp(-Gamma_Z t) with
+4. A pseudo two-state Bloch system (u, v, w, x), a real 4x4 generator,
+   and its closed-form solution rho_TT(t) = rho_TT(0) exp(-Gamma_Z t) with
 
        Gamma_Z = 8 (n-1) J^2 kappa / ((U+|V_c|)^2 + kappa^2).
 
@@ -28,12 +28,13 @@ Every level is a linear system dy/dt = G y with a constant generator G, and
 every one returns the same grid, linspace(0, t_end, max_samples), laid out
 by ``_plan_grid``, the one place a step is checked.  One backend chooser,
 ``_propagate``, serves G = -i H (the wavefunction, the jump ensemble's
-conditioned state and the exact oracle) and the real generator of
-``_rme_generator`` (the master equation): a given step pins the fixed-step
-RK4 kernel ``_rk4``, the reference; without one, a G of dimension up to
-DENSE_EIG_CUTOFF is diagonalised once and the samples are rebuilt exactly
-(``_spectral``), unless its eigenvectors are ill conditioned, and a larger G
-runs RK4.  A real Hermitian H is diagonalised in real arithmetic.  A complex
+conditioned state and the exact oracle) and the real generators of the
+master equation (``_rme_generator``) and the Bloch system: a given step
+pins the fixed-step RK4 kernel ``_rk4``, the reference; without one, a G of
+dimension up to DENSE_EIG_CUTOFF is diagonalised once and the samples are
+rebuilt exactly (``_spectral``), unless its eigenvectors are ill
+conditioned, and a larger G runs RK4.  The Bloch system is never pinned.
+A real Hermitian H is diagonalised in real arithmetic.  A complex
 symmetric arrowhead H, the eliminated model's bright operator, is
 diagonalised in O(dim^2) from its secular equation (``_secular_eig``): its
 roots are accepted only when Löwner's couplings certify them to rounding,
@@ -41,13 +42,13 @@ and any other non-Hermitian G, or uncertified roots, take LAPACK's dense
 eig.  A spectral run whose phases lam t would be only rounding is refused.
 The jump ensemble reads one rule off either run; only a jump time is read
 per backend, an RK4 step time or, on the exact curve, a root bisected on
-the closed-form norm.  The 4x4 Bloch system is exact, one matrix
-exponential a gap.
+the closed-form norm.
 The spectral backend's dense work (the diagonalisation, V^-1, the rebuild's
 block products) and the oracle's dense eigh run on one BLAS thread up to
 dimension SERIAL_BLAS_DIM (``_serial_blas``): there a second OpenBLAS thread
 saves little wall time, doubles the CPU time and makes concurrent runs fight
-over the cores.  Larger operators keep their threads.
+over the cores.  Larger operators keep their threads, but for the secular
+solve, which is matrix-vector work and runs on one thread at every size.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout; the CLI's free
@@ -175,15 +176,6 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
     return n_steps, stride, t_end / n_steps, np.linspace(0.0, t_end, n_gaps + 1)
 
 
-def _refuse_long_rk4(n_steps: int, t_end: float, dt: float) -> None:
-    """Refuse an RK4 run of more than MAX_RK4_STEPS steps before it starts."""
-    if n_steps > MAX_RK4_STEPS:
-        raise IntegrationError(
-            f"t_end = {t_end:g} at dt = {dt:g} takes {n_steps:.3g} RK4 steps; "
-            f"at most {MAX_RK4_STEPS:.0e} are run"
-        )
-
-
 def _rk4(gen, y, h: float, n_steps: int):
     """Fixed-step RK4 for dy/dt = gen y, the one place a step is taken.
 
@@ -240,9 +232,10 @@ def _openblas_threads():
 
 
 @contextlib.contextmanager
-def _serial_blas(dim: int):
-    """Run the body on one BLAS thread when ``dim`` <= SERIAL_BLAS_DIM, and
-    restore the previous thread count when it ends, by return or exception.
+def _serial_blas(dim: int = 0):
+    """Run the body on one BLAS thread when ``dim`` <= SERIAL_BLAS_DIM (or
+    is not given), and restore the previous count when it ends, by return
+    or exception.
 
     Only numpy's bundled OpenBLAS is switched; where it is not found (MKL,
     Accelerate, a system BLAS) this does nothing.  The count is global to
@@ -293,23 +286,15 @@ def _blocks(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, 
         yield rows[:k]
 
 
-def _rebuild(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, y: np.ndarray):
-    """Yield y(t_k) = vecs (coef * exp(lam t_k)) for every t_k of the
-    uniform grid ``t``, written into ``y``; a real ``y`` (a real generator)
-    takes the real part."""
-    for rows in _blocks(vecs, coef, lam, t, uniform=True):
-        for row in rows if np.iscomplexobj(y) else rows.real:
-            y[:] = row
-            yield y
-
-
 @dataclass
 class Propagation:
     """One run of dy/dt = G y and the backend that produced it.
 
-    ``points`` yields the state buffer at times k h, k = 0, 1, ...: after
-    every RK4 step, or at every grid point of a spectral run; every
-    ``stride``-th of them is a grid point, and iterating yields just those.
+    ``points`` yields the state at times k h, k = 0, 1, ...: RK4's work
+    array after every step, or a row of a spectral run's grid blocks (the
+    real part for a real generator); each is a buffer the next point may
+    overwrite, so a caller that keeps one copies it.  Every ``stride``-th
+    point is a grid point, and iterating yields just those.
     ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig" (any
     other G, from its secular equation or by LAPACK);
     ``cond_v`` is the 1-norm condition number of the eigenvector matrix when
@@ -425,10 +410,12 @@ def _secular_eig(op: SparseOperator):
 
     The vectors (1, chat / (lam_k - d)) are exact for the arrowhead with
     Löwner's couplings chat, which is complex symmetric, so
-    V^-1 = diag(1 / v_k^T v_k) V^T.
+    V^-1 = diag(1 / v_k^T v_k) V^T.  The roots' matrix-vector products run
+    on one BLAS thread whatever the size (``_serial_blas``).
     """
     entries = _arrowhead_entries(op)
-    roots = entries and _secular_roots(*entries)
+    with _serial_blas():
+        roots = entries and _secular_roots(*entries)
     if not roots:
         return None
     (a0, d, c), (tau, chat2) = entries, roots
@@ -506,8 +493,9 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
             coef = inv @ y
     lam = scale * w
     _refuse_lost_phases(lam, t[-1])
+    real = not np.iscomplexobj(y)
     return Propagation(
-        _rebuild(vecs, coef, lam, t, y),
+        (row for rows in _blocks(vecs, coef, lam, t, uniform=True) for row in (rows.real if real else rows)),
         t[1],
         backend="eigh" if cond_v is None else "eig",
         cond_v=cond_v,
@@ -525,15 +513,19 @@ def _propagate(
     max_step: float,
     default_dt: float | None = None,
 ):
-    """Output grid and sample propagation of dy/dt = scale M y, advancing ``y``.
+    """Output grid and sample propagation of dy/dt = scale M y from ``y``,
+    the one backend chooser of every level.
 
-    M = ``op``; scale -1j makes it i dpsi/dt = H psi.
+    M = ``op``; scale -1j makes it i dpsi/dt = H psi, and a real M with
+    scale 1 a real generator (the master equation, the Bloch system).
     A given ``dt`` selects RK4, the reference.  Without it an operator of
     dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
     cond(V) refuses; a larger one, or a refused one, runs RK4 at
     ``default_dt`` (``max_step`` if None; t_end when that is infinite).
     Either way the step is checked against ``max_step`` by ``_plan_grid``
-    and the samples land on the same grid.
+    and the samples land on the same grid.  RK4 uses ``y`` as its work
+    array, advanced in place, and a run of more than MAX_RK4_STEPS steps is
+    refused before it starts; a spectral run leaves ``y`` alone.
     """
     step = dt if dt is not None else default_dt
     if step is None:
@@ -543,7 +535,11 @@ def _propagate(
         spectral = _spectral(op, scale, y, t)
         if spectral is not None:
             return t, spectral
-    _refuse_long_rk4(n_steps, t_end, step)
+    if n_steps > MAX_RK4_STEPS:
+        raise IntegrationError(
+            f"t_end = {t_end:g} at dt = {step:g} takes {n_steps:.3g} RK4 steps; "
+            f"at most {MAX_RK4_STEPS:.0e} are run"
+        )
     return t, Propagation(_rk4(op.matrix * scale, y, h, n_steps), h, stride)
 
 
@@ -633,9 +629,9 @@ def evolve(
         norm[i] = np.vdot(y, y).real
         c_t[i] = y[0]
     if embed is not None:
-        final = embed(psi)
+        final = embed(y)
     else:
-        final = StateVector(psi0.basis, psi) if isinstance(psi0, StateVector) else None
+        final = StateVector(psi0.basis, y.copy()) if isinstance(psi0, StateVector) else None
     return TrajectorySeries(
         t=t,
         fidelity=_conditioned_population(c_t, norm),
@@ -1066,7 +1062,7 @@ def reduced_master_equation(
     t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p))
     out_tt = np.empty(t.size)
     out_ss = np.empty(t.size)
-    for i, _ in enumerate(run):
+    for i, y in enumerate(run):
         out_tt[i] = y[0]
         out_ss[i] = y[1 : 1 + m].sum()
         if y[0] < -1e-6 or y[1 : 1 + m].min(initial=0.0) < -1e-6:
@@ -1101,12 +1097,14 @@ PURE_TARGET_BLOCH = BlochState(u=0.0, v=0.0, w=-1.0, x=1.0)
 
 
 @dataclass
-class BlochSeries:
+class BlochSeries(_Diagnosed):
     t: np.ndarray
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
     x: np.ndarray
+    backend: str = "rk4"
+    cond_v: float | None = None
 
     @property
     def rho_tt(self) -> np.ndarray:
@@ -1129,24 +1127,22 @@ def bloch_evolution(
     t_end: float = 10.0,
     max_samples: int = MAX_OUTPUT_SAMPLES,
 ) -> BlochSeries:
-    """Propagate the pseudo two-state Bloch system exactly.
+    """Propagate the pseudo two-state Bloch system.
 
         du/dt = (U+|V_c|) v - kappa u
         dv/dt = -kappa v - (U+|V_c|) u - g w
         dw/dt = -kappa (x+w) + 4 g v
         dx/dt = -kappa (x+w)
 
-    with g the collective coupling (see ``collective_coupling``).  The
-    system is linear and time invariant, so one sample gap is the matrix
-    exponential of the generator times the gap, applied once per gap.  The
-    grid is that of every other level, linspace(0, t_end, max_samples).
+    with g the collective coupling (see ``collective_coupling``), as one
+    unpinned ``_propagate`` run of its real generator: exact unless cond(V)
+    refuses, then RK4 at the largest accepted step (``backend`` on the
+    result).  The grid is that of every other level, linspace(0, t_end,
+    max_samples).
     """
     omega0 = 1.0 + p.vc_over_u
     kappa = p.kappa_over_u
     g = collective_coupling(p, n)
-    # a step of t_end asks for fewer steps than gaps, so the step is the gap
-    _, _, gap, t = _plan_grid(t_end, t_end, math.inf, max_samples)
-
     gen = np.array(
         [
             [-kappa, omega0, 0.0, 0.0],
@@ -1155,15 +1151,12 @@ def bloch_evolution(
             [0.0, 0.0, -kappa, -kappa],
         ]
     )
-    import scipy.linalg  # only here, to keep it out of the package import
-
-    step = scipy.linalg.expm(gen * gap)
-
-    out = np.empty((t.size, 4))
-    out[0] = [b0.u, b0.v, b0.w, b0.x]
-    for i in range(1, t.size):
-        out[i] = step @ out[i - 1]
-    return BlochSeries(t=t, u=out[:, 0], v=out[:, 1], w=out[:, 2], x=out[:, 3])
+    rows, cols = np.nonzero(gen)  # J = 0 or kappa = 0 leaves entries out
+    op = SparseOperator._canonical(4, rows, cols, gen[rows, cols])
+    y = np.array([b0.u, b0.v, b0.w, b0.x], dtype=np.float64)
+    t, run = _propagate(op, 1.0, y, t_end, None, max_samples, _max_step(op))
+    out = np.array([row.copy() for row in run])
+    return BlochSeries(t, *out.T, backend=run.backend, cond_v=run.cond_v)
 
 
 def zeno_decay_rate(p: DerivedParams, n: int) -> float:

@@ -68,6 +68,27 @@ print("scipy.sparse" in sys.modules)
     assert loaded == "False"
 
 
+def test_nonselective_leaves_out_scipy_linalg_and_sparse(tmp_path):
+    # the master equation (dim 121) and the Bloch system both run spectral
+    # through numpy, so neither scipy.linalg nor scipy.sparse is loaded
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = str(tmp_path / "ns")
+    code = f"""
+import sys
+from zenoreg.cli import main
+main(["nonselective", "--n", "21", "--t-end", "20", "--out", {out!r}], standalone_mode=False)
+print(sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    sidecar = read_json(tmp_path / "ns.json")
+    assert sidecar["diagnostics"]["backend"] == "eig"
+    assert sidecar["bloch_diagnostics"]["backend"] == "eig"
+    assert sidecar["bloch_diagnostics"]["cond_v"] >= 1.0
+
+
 def test_trajectory_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the spectral run's dense work at dim 101 is serial, so OpenBLAS's
     # thread count changes no byte of the CSV or the sidecar

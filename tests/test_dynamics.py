@@ -15,6 +15,7 @@ from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
     SPECTRAL_BLOCK,
     THRESHOLD_BLOCK,
+    PURE_TARGET_BLOCH,
     BlochState,
     IntegrationError,
     ReducedDensityState,
@@ -123,6 +124,24 @@ class TestEvolve:
         series = evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=1.0, dt=1e-5, max_samples=100)
         assert series.t.size == 100
         assert series.t[0] == 0.0 and series.t[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_final_state_is_the_last_sample(self, pinned):
+        # spectral runs leave the state they start from alone, so the final
+        # state is the last one the run yields, on either backend
+        p = measurement_test_params()
+        basis = build_basis(5)
+        op = build_eliminated_hamiltonian(basis, p)
+        start = perturbative_ground_state(basis, p).reduced()
+        for series in (
+            null_trajectory(p, 5, t_end=5.0, model="eliminated", dt=eliminated_model_step(p) if pinned else None),
+            evolve(op, start, 5.0, _max_step(op) if pinned else None, 11),
+        ):
+            assert series.backend == ("rk4" if pinned else "eig")
+            final = series.final_state.reduced().amplitudes
+            assert np.vdot(final, final).real == pytest.approx(series.norm_sq[-1], rel=1e-12)
+            assert abs(final[0]) ** 2 / series.norm_sq[-1] == pytest.approx(series.fidelity[-1], rel=1e-12)
+            assert series.norm_sq[-1] < 0.999  # the state has moved
 
 
 class TestNullTrajectory:
@@ -399,6 +418,36 @@ class TestBlochSystem:
         assert collective_coupling(reference_params, 9) == pytest.approx(
             2.0 * math.sqrt(8) * reference_params.j_over_u, rel=1e-14
         )
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            ("criterion 4", None, 501, PURE_TARGET_BLOCH, 1e4, 2001),
+            ("J = 0", dict(j_over_u=0.0), 5, BlochState(0.6, -0.3, -0.5, 0.9), 10.0, 201),
+            ("J = kappa = 0", dict(j_over_u=0.0, kappa_over_u=0.0), 5, BlochState(0.6, -0.3, -0.5, 0.9), 10.0, 201),
+        ],
+        ids=lambda setting: setting[0],
+    )
+    def test_matches_per_gap_matrix_exponential(self, reference_params, setting):
+        # the reference steps one scipy expm of the generator per sample gap
+        import scipy.linalg
+
+        _, changes, n, b0, t_end, max_samples = setting
+        p = reference_params if changes is None else replace(measurement_test_params(), **changes)
+        omega0, kappa, g = 1.0 + p.vc_over_u, p.kappa_over_u, collective_coupling(p, n)
+        gen = np.array(
+            [[-kappa, omega0, 0, 0], [-omega0, -kappa, -g, 0], [0, 4 * g, -kappa, -kappa], [0, 0, -kappa, -kappa]]
+        )
+        step = scipy.linalg.expm(gen * (t_end / (max_samples - 1)))
+        ref = np.empty((max_samples, 4))
+        ref[0] = [b0.u, b0.v, b0.w, b0.x]
+        for i in range(1, max_samples):
+            ref[i] = step @ ref[i - 1]
+        series = bloch_evolution(p, n, b0=b0, t_end=t_end, max_samples=max_samples)
+        assert series.backend == "eig" and series.cond_v >= 1.0
+        assert np.array_equal(series.t, np.linspace(0.0, t_end, max_samples))
+        got = np.stack([series.u, series.v, series.w, series.x], axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-11
 
 
 class TestClosedForms:
@@ -907,6 +956,23 @@ class TestSerialBlas:
         assert switched.cond_v == plain.cond_v
         assert np.array_equal(switched.norm_sq, plain.norm_sq)
         assert np.array_equal(switched.fidelity, plain.fidelity)
+
+    def test_secular_solve_runs_on_one_thread_at_every_size(self, blas_threads, monkeypatch, reference_params):
+        # matrix-vector work: one thread even above SERIAL_BLAS_DIM, where
+        # the rebuild keeps its two
+        get, _ = blas_threads
+        monkeypatch.setattr(dynamics, "SERIAL_BLAS_DIM", 4)
+        seen, original = [], dynamics._secular_roots
+
+        def recorded(*args):
+            seen.append(get())
+            return original(*args)
+
+        monkeypatch.setattr(dynamics, "_secular_roots", recorded)
+        products = record_threads(monkeypatch, get, np, "matmul", block_products=True)
+        series = null_trajectory(reference_params, 51, t_end=30.0, max_samples=11)
+        assert series.backend == "eig" and seen == [1]
+        assert set(products) == {2} and get() == 2
 
 
 class TestGridRebuild:
