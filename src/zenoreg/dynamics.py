@@ -286,28 +286,38 @@ def _blocks(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, 
         yield rows[:k]
 
 
+@dataclass(kw_only=True)
+class _Diagnosed:
+    """How a run was propagated, recorded on the run and on its result:
+    ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig" (any
+    other G, from its secular equation or by LAPACK); ``cond_v`` is the
+    1-norm condition number of the eigenvector matrix when "eig" ran, None
+    otherwise."""
+
+    backend: str = "rk4"
+    cond_v: float | None = None
+
+    def diagnostics(self) -> dict:
+        """Backend and cond(V), for a sidecar or a result's constructor."""
+        return {"backend": self.backend, "cond_v": self.cond_v}
+
+
 @dataclass
-class Propagation:
+class Propagation(_Diagnosed):
     """One run of dy/dt = G y and the backend that produced it.
 
-    ``points`` yields the state at times k h, k = 0, 1, ...: RK4's work
-    array after every step, or a row of a spectral run's grid blocks (the
-    real part for a real generator); each is a buffer the next point may
-    overwrite, so a caller that keeps one copies it.  Every ``stride``-th
-    point is a grid point, and iterating yields just those.
-    ``backend`` is "rk4", "eigh" (G = -i H with H Hermitian) or "eig" (any
-    other G, from its secular equation or by LAPACK);
-    ``cond_v`` is the 1-norm condition number of the eigenvector matrix when
-    "eig" ran, None otherwise.  A spectral run also gives ``blocks(times)``,
-    the exact states at any times, yielded as in ``_blocks``; it is None for
-    RK4.
+    ``points`` yields the state at times k h, k = 0, 1, ...: RK4's copy of
+    the start, advanced in place, after every step, or a row of a spectral
+    run's grid blocks (the real part for a real run); each is a buffer the
+    next point may overwrite, so a caller that keeps one copies it.  Every
+    ``stride``-th point is a grid point, and iterating yields just those.
+    A spectral run also gives ``blocks(times)``, the exact states at any
+    times, yielded as in ``_blocks``; it is None for RK4.
     """
 
     points: Iterator[np.ndarray]
     h: float
     stride: int = 1
-    backend: str = "rk4"
-    cond_v: float | None = None
     blocks: Callable[[np.ndarray], Iterator[np.ndarray]] | None = None
 
     def __iter__(self):
@@ -472,8 +482,10 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     from its secular equation in O(dim^2) (``_secular_eig``); any other M,
     or an arrowhead whose roots fail their certificate, takes LAPACK's dense
     ``eig`` and ``inv`` (``_dense_eig``).
-    Returns None when cond(V) exceeds COND_V_LIMIT, so the caller falls back
-    to RK4, and refuses a ``t`` whose phases would be only rounding
+    ``y`` is only read, and its dtype is the run's arithmetic: a real ``y``
+    yields the real part of each row (``_propagate`` casts it).  Returns
+    None when cond(V) exceeds COND_V_LIMIT, so the caller falls back to RK4,
+    and refuses a ``t`` whose phases would be only rounding
     (``_refuse_lost_phases``).  The dense work runs under ``_serial_blas``.
     """
     # numpy's LAPACK, so one OpenBLAS serves these and the rebuild's products
@@ -518,15 +530,22 @@ def _propagate(
 
     M = ``op``; scale -1j makes it i dpsi/dt = H psi, and a real M with
     scale 1 a real generator (the master equation, the Bloch system).
+    ``y`` must be ``op.dim`` finite numbers (else IntegrationError) and is
+    never written; the run's arithmetic is the common type of M, scale and y.
     A given ``dt`` selects RK4, the reference.  Without it an operator of
     dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
     cond(V) refuses; a larger one, or a refused one, runs RK4 at
     ``default_dt`` (``max_step`` if None; t_end when that is infinite).
     Either way the step is checked against ``max_step`` by ``_plan_grid``
-    and the samples land on the same grid.  RK4 uses ``y`` as its work
-    array, advanced in place, and a run of more than MAX_RK4_STEPS steps is
-    refused before it starts; a spectral run leaves ``y`` alone.
+    and the samples land on the same grid.  RK4 advances a copy of ``y`` in
+    place, and a run of more than MAX_RK4_STEPS steps is refused before it
+    starts.
     """
+    y = np.asarray(y)
+    bad = y.size - np.count_nonzero(np.isfinite(y))
+    if y.shape != (op.dim,) or bad:
+        raise IntegrationError(f"the start state must be {op.dim} finite numbers (shape {y.shape}, {bad} not finite)")
+    y = y.astype(np.result_type(op.vals, scale, y))
     step = dt if dt is not None else default_dt
     if step is None:
         step = max_step if math.isfinite(max_step) else t_end
@@ -560,15 +579,6 @@ def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
     return np.divide(np.abs(c_t) ** 2, norm_sq, out=np.zeros_like(norm_sq), where=norm_sq > 0)
 
 
-class _Diagnosed:
-    """A result whose ``backend`` and ``cond_v`` say how it was propagated
-    (see ``Propagation``)."""
-
-    def diagnostics(self) -> dict:
-        """Propagation backend and cond(V), for a run's sidecar."""
-        return {"backend": self.backend, "cond_v": self.cond_v}
-
-
 @dataclass
 class TrajectorySeries(_Diagnosed):
     """Sampled fidelity and squared norm along one evolution.
@@ -583,8 +593,6 @@ class TrajectorySeries(_Diagnosed):
     t_sat: float | None = None
     final_state: StateVector | None = None
     energy: np.ndarray | None = None
-    backend: str = "rk4"
-    cond_v: float | None = None
 
     def saturation_time(self, level: float = 0.999) -> float | None:
         """First time with F >= level * F(t_end)."""
@@ -604,9 +612,10 @@ def evolve(
 ) -> TrajectorySeries:
     """Integrate i dpsi/dt = H psi from ``psi0``.
 
-    ``psi0`` may be a StateVector or a bare amplitude array.  ``final_state``
-    is the state at t_end: ``embed(amplitudes)`` if given, else a StateVector
-    over ``psi0``'s basis, or None for a bare array.  The reported
+    ``psi0`` may be a StateVector or a bare amplitude array of any numeric
+    dtype, which is checked and never written (``_propagate``).
+    ``final_state`` is the state at t_end: ``embed(amplitudes)`` if given,
+    else a StateVector over ``psi0``'s basis, or None for a bare array.  The reported
     fidelity is the conditioned target population |psi_T|^2/||psi||^2; T is
     index 0 of both the full and the eliminated layout.  A given ``dt``
     pins fixed-step RK4, the reference; the step must satisfy
@@ -618,11 +627,8 @@ def evolve(
     ``backend`` on the result says which ran.  The output grid is
     linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
-    amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else np.asarray(psi0)
-    if amps0.shape[0] != op.dim:
-        raise IntegrationError("state and operator dimensions differ")
-    psi = amps0.astype(np.complex128, copy=True)
-    t, run = _schrodinger(op, psi, t_end, dt, max_samples, default_dt)
+    amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else psi0
+    t, run = _schrodinger(op, amps0, t_end, dt, max_samples, default_dt)
     norm = np.empty(t.size)
     c_t = np.empty(t.size, dtype=np.complex128)
     for i, y in enumerate(run):
@@ -637,8 +643,7 @@ def evolve(
         fidelity=_conditioned_population(c_t, norm),
         norm_sq=norm,
         final_state=final,
-        backend=run.backend,
-        cond_v=run.cond_v,
+        **run.diagnostics(),
     )
 
 
@@ -737,8 +742,6 @@ class EnsembleResult(_Diagnosed):
     cond_fidelity: np.ndarray
     uncond_t_population: np.ndarray
     jump_times: np.ndarray
-    backend: str = "rk4"
-    cond_v: float | None = None
 
     def jump_histogram(self, bins: int = 50):
         finite = self.jump_times[np.isfinite(self.jump_times)]
@@ -931,8 +934,7 @@ def jump_ensemble(
         cond_fidelity=np.where(alive > 0, fid, np.nan),
         uncond_t_population=survival * fid,
         jump_times=jump_times,
-        backend=run.backend,
-        cond_v=run.cond_v,
+        **run.diagnostics(),
     )
 
 
@@ -961,13 +963,17 @@ def _bisect_norm(blocks, lo: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.nd
 class ReducedDensityState:
     """Density-matrix components kept after molecular elimination.
 
-    Pair-state entries follow the reduced basis order (per bond: +, -).
-    Coherences between different pair states are outside this description.
+    Pair-state entries (array-likes) follow the reduced basis order (per
+    bond: +, -).  Coherences between different pair states are outside
+    this description.
     """
 
     rho_tt: float
     rho_ss: np.ndarray
     rho_st: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rho_ss, self.rho_st = np.asarray(self.rho_ss), np.asarray(self.rho_st)
 
     def trace(self) -> float:
         return float(self.rho_tt + self.rho_ss.sum())
@@ -991,8 +997,6 @@ class RMESeries(_Diagnosed):
     rho_tt: np.ndarray
     rho_ss_sum: np.ndarray
     trace: np.ndarray
-    backend: str = "rk4"
-    cond_v: float | None = None
 
 
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
@@ -1073,8 +1077,7 @@ def reduced_master_equation(
         rho_tt=out_tt,
         rho_ss_sum=out_ss,
         trace=out_tt + out_ss,
-        backend=run.backend,
-        cond_v=run.cond_v,
+        **run.diagnostics(),
     )
 
 
@@ -1103,8 +1106,6 @@ class BlochSeries(_Diagnosed):
     v: np.ndarray
     w: np.ndarray
     x: np.ndarray
-    backend: str = "rk4"
-    cond_v: float | None = None
 
     @property
     def rho_tt(self) -> np.ndarray:
@@ -1153,10 +1154,9 @@ def bloch_evolution(
     )
     rows, cols = np.nonzero(gen)  # J = 0 or kappa = 0 leaves entries out
     op = SparseOperator._canonical(4, rows, cols, gen[rows, cols])
-    y = np.array([b0.u, b0.v, b0.w, b0.x], dtype=np.float64)
-    t, run = _propagate(op, 1.0, y, t_end, None, max_samples, _max_step(op))
+    t, run = _propagate(op, 1.0, [b0.u, b0.v, b0.w, b0.x], t_end, None, max_samples, _max_step(op))
     out = np.array([row.copy() for row in run])
-    return BlochSeries(t, *out.T, backend=run.backend, cond_v=run.cond_v)
+    return BlochSeries(t, *out.T, **run.diagnostics())
 
 
 def zeno_decay_rate(p: DerivedParams, n: int) -> float:

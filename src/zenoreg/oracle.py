@@ -201,7 +201,7 @@ def exact_evolve_fidelity(
         raise ModelError("free-evolution fidelity requires N = M")
     op = build_bose_hubbard(basis, j, u, delta)
     target = basis.unit_filled_index
-    psi = np.zeros(basis.dimension, dtype=np.complex128)
+    psi = np.zeros(basis.dimension)
     psi[target] = 1.0
     t, run = _schrodinger(op, psi, t_end, dt, max_samples)
     fid = np.empty(t.size)
@@ -216,9 +216,7 @@ def exact_evolve_fidelity(
         block[k] = y
         if k == len(block) - 1 or i == t.size - 1:
             energy[i - k : i + 1] = op.expectations(block[: k + 1]) / norm[i - k : i + 1]
-    return TrajectorySeries(
-        t=t, fidelity=fid, norm_sq=norm, energy=energy, backend=run.backend, cond_v=run.cond_v
-    )
+    return TrajectorySeries(t=t, fidelity=fid, norm_sq=norm, energy=energy, **run.diagnostics())
 
 
 def double_occupancy_evolve(

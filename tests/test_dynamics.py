@@ -1327,3 +1327,90 @@ class TestBrightSector:
             sector.restrict(build_interaction_hamiltonian(basis, reference_params))
         with pytest.raises(ModelError, match="neither the full nor the T\\+S layout"):
             sector.restrict(two_level(1.0))
+
+
+class TestStartState:
+    """``_propagate`` owns the start: it checks it, takes the run's arithmetic
+    from generator, scale and start together, and never writes into it."""
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_evolve_refuses_a_non_finite_amplitude(self, bad, dt):
+        with pytest.raises(IntegrationError, match="must be 2 finite numbers"):
+            evolve(two_level(1.0), np.array([bad, 0.0]), t_end=1.0, dt=dt, max_samples=11)
+
+    def test_evolve_refuses_a_start_of_the_wrong_length(self):
+        with pytest.raises(IntegrationError, match=r"must be 2 finite numbers \(shape \(3,\)"):
+            evolve(two_level(1.0), np.zeros(3), t_end=1.0, max_samples=11)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_master_equation_refuses_a_non_finite_population(self, pinned):
+        p = measurement_test_params()
+        rho0 = ground_reduced_density(build_basis(5), p)
+        rho0.rho_ss[3] = np.nan
+        dt = eliminated_model_step(p) if pinned else None
+        with pytest.raises(IntegrationError, match="must be 25 finite numbers"):
+            reduced_master_equation(p, 5, rho0=rho0, t_end=1.0, dt=dt, max_samples=11)
+
+    def test_bloch_system_refuses_an_infinite_component(self):
+        b0 = BlochState(u=0.0, v=np.inf, w=-1.0, x=1.0)
+        with pytest.raises(IntegrationError, match="must be 4 finite numbers"):
+            bloch_evolution(measurement_test_params(), 5, b0=b0, t_end=1.0, max_samples=11)
+
+    @pytest.mark.parametrize(
+        "make_op, dt, backend",
+        [
+            (lambda: two_level(1.0), None, "eigh"),
+            (lambda: two_level(1.0), 0.01, "rk4"),
+            (lambda: jordan_like(0.5), None, "eig"),
+            (lambda: jordan_like(0.5), 0.01, "rk4"),
+        ],
+        ids=["hermitian-spectral", "hermitian-rk4", "damped-spectral", "damped-rk4"],
+    )
+    def test_real_start_runs_as_its_complex_cast(self, make_op, dt, backend):
+        op = make_op()
+        starts = (np.array([1.0, 0.0]), np.array([1.0 + 0j, 0.0]))
+        runs = [_schrodinger(op, start, 1.0, dt, 11)[1] for start in starts]
+        real, cast = (np.array([y.copy() for y in run]) for run in runs)
+        assert runs[0].backend == runs[1].backend == backend
+        assert real.dtype == np.complex128
+        np.testing.assert_array_equal(real, cast)
+        # a unit start: the Hermitian run keeps its norm, the damped one loses it
+        norms = np.sum(np.abs(real) ** 2, axis=1)
+        if op.hermitian:
+            np.testing.assert_allclose(norms, 1.0, rtol=1e-9)
+        else:
+            assert norms[-1] < 1.0 and np.all(np.diff(norms) <= 1e-12)
+
+    def test_pinned_rk4_leaves_the_start_alone(self):
+        psi = np.array([0.6, 0.8j])
+        _, run = _schrodinger(two_level(1.0), psi, 1.0, 0.01, 11)
+        assert run.backend == "rk4" and len(list(run)) == 11
+        np.testing.assert_array_equal(psi, [0.6, 0.8j])
+        p = measurement_test_params()
+        basis = build_basis(5)
+        gen, max_step = _rme_generator(p, basis)
+        rho = ground_reduced_density(basis, p)
+        y = np.concatenate(([rho.rho_tt], rho.rho_ss, rho.rho_st.real, rho.rho_st.imag))
+        before = y.copy()
+        _, run = dynamics._propagate(gen, 1.0, y, 1.0, eliminated_model_step(p), 11, max_step)
+        assert run.backend == "rk4" and len(list(run)) == 11
+        np.testing.assert_array_equal(y, before)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("ground", [False, True])
+    def test_reduced_density_from_lists_runs_as_from_arrays(self, ground, pinned):
+        p = measurement_test_params()
+        if ground:
+            arrays = ground_reduced_density(build_basis(5), p)
+        else:
+            arrays = ReducedDensityState(0.0, np.array([1.0] + [0.0] * 7), np.zeros(8, dtype=complex))
+        lists = ReducedDensityState(arrays.rho_tt, arrays.rho_ss.tolist(), arrays.rho_st.tolist())
+        assert lists.trace() == arrays.trace()
+        kwargs = dict(t_end=2.0, dt=eliminated_model_step(p) if pinned else None, max_samples=21)
+        from_arrays = reduced_master_equation(p, 5, rho0=arrays, **kwargs)
+        from_lists = reduced_master_equation(p, 5, rho0=lists, **kwargs)
+        assert from_lists.diagnostics() == from_arrays.diagnostics()
+        assert from_lists.backend == ("rk4" if pinned else "eig")
+        for name in ("t", "rho_tt", "rho_ss_sum", "trace"):
+            np.testing.assert_array_equal(getattr(from_lists, name), getattr(from_arrays, name))
