@@ -535,20 +535,24 @@ def _propagate(
     A given ``dt`` selects RK4, the reference.  Without it an operator of
     dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
     cond(V) refuses; a larger one, or a refused one, runs RK4 at
-    ``default_dt`` (``max_step`` if None; t_end when that is infinite).
-    Either way the step is checked against ``max_step`` by ``_plan_grid``
-    and the samples land on the same grid.  RK4 advances a copy of ``y`` in
-    place, and a run of more than MAX_RK4_STEPS steps is refused before it
-    starts.
+    ``default_dt`` capped at ``max_step`` (t_end when both are None or
+    infinite).  Either way the step is checked against ``max_step`` by
+    ``_plan_grid``, so only a given ``dt`` can be refused there, and the
+    samples land on the same grid.  RK4 advances a copy of ``y`` in place,
+    and a run of more than MAX_RK4_STEPS steps is refused before it starts.
     """
     y = np.asarray(y)
+    if y.dtype.kind not in "biufc":
+        raise IntegrationError(f"the start state must be {op.dim} finite numbers (dtype {y.dtype})")
     bad = y.size - np.count_nonzero(np.isfinite(y))
     if y.shape != (op.dim,) or bad:
         raise IntegrationError(f"the start state must be {op.dim} finite numbers (shape {y.shape}, {bad} not finite)")
     y = y.astype(np.result_type(op.vals, scale, y))
-    step = dt if dt is not None else default_dt
+    step = dt
     if step is None:
-        step = max_step if math.isfinite(max_step) else t_end
+        step = min(max_step, math.inf if default_dt is None else default_dt)
+        if not math.isfinite(step):
+            step = t_end
     n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
     if dt is None and op.dim <= DENSE_EIG_CUTOFF:
         spectral = _spectral(op, scale, y, t)
@@ -1188,5 +1192,5 @@ def finite_efficiency_fidelity(eta: float, p: DerivedParams, n: int, rho_tt0: fl
     both the preparation scale 1/kappa and the coherence transient.
     """
     if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
+        raise ValueError(f"eta must lie in [0, 1], got {eta:g}")
     return eta + (1.0 - eta) * nonselective_fidelity_closed(p, n, rho_tt0, t)

@@ -55,7 +55,7 @@ class FockBasis:
         if self.boundary not in ("open", "periodic"):
             raise ModelError(f"unknown boundary {self.boundary!r}")
         if self.n_atoms < 1 or self.n_sites < 1:
-            raise ModelError("need at least one atom and one site")
+            raise ModelError(f"need at least one atom and one site (atoms = {self.n_atoms}, sites = {self.n_sites})")
 
     @cached_property
     def states(self) -> tuple:

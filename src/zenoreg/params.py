@@ -71,17 +71,18 @@ class PhysicalConfig:
         ]
         for name in positive:
             if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be > 0")
+                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.trap_frequency_hz < 0:
-            raise ParameterError("trap_frequency_hz must be >= 0")
+            raise ParameterError(f"trap_frequency_hz must be >= 0, got {self.trap_frequency_hz}")
         if not 0.0 < self.franck_condon < 1.0:
-            raise ParameterError("franck_condon must lie in (0, 1)")
+            raise ParameterError(f"franck_condon must lie in (0, 1), got {self.franck_condon}")
+        sizes = f"atoms = {self.atoms}, register_sites = {self.register_sites}"
         if self.atoms < 1 or self.register_sites < 1:
-            raise ParameterError("atoms and register_sites must be positive")
+            raise ParameterError(f"atoms and register_sites must be positive ({sizes})")
         if self.register_sites > self.atoms:
-            raise ParameterError("register_sites must not exceed atoms")
+            raise ParameterError(f"register_sites must not exceed atoms ({sizes})")
         if self.register_sites % 2 == 0:
-            raise ParameterError("register_sites must be odd")
+            raise ParameterError(f"register_sites must be odd, got {self.register_sites}")
 
 
 @dataclass(frozen=True)
@@ -336,10 +337,13 @@ def parse_config_text(text: str) -> PhysicalConfig:
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ParameterError(f"config key {key!r}: expected boolean, got {value!r}")
             values[key] = value.lower() in ("true", "1")
-        elif key in _INT_KEYS:
-            values[key] = int(value)
         else:
-            values[key] = float(value)
+            kind = int if key in _INT_KEYS else float
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                message = f"line {lineno}: config key {key!r}: expected {kind.__name__}, got {value!r}"
+                raise ParameterError(message) from None
     return PhysicalConfig(**values)
 
 

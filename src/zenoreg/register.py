@@ -50,7 +50,7 @@ class RestrictedBasis:
 
     def __post_init__(self) -> None:
         if self.n < 3 or self.n % 2 == 0:
-            raise ModelError("register size n must be odd and >= 3")
+            raise ModelError(f"register size n must be odd and >= 3, got {self.n}")
 
     @property
     def dimension(self) -> int:

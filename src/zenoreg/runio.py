@@ -1,10 +1,12 @@
 """Run manifests and CSV/JSON emission.
 
-Every CLI run resolves its parameters into a RunManifest that is written
-into the JSON sidecar next to the data; re-feeding the manifest's
-parameters through the library reproduces the numbers.  Nothing
-time-dependent (timestamps, hostnames) enters the outputs, so reruns with
-an identical manifest are byte-identical.
+Every CLI run writes a RunManifest into the JSON sidecar next to the
+data.  It holds the options the run was given, as given (``--t-end`` in
+1/U), with the config and derived parameters they resolve to; a value
+the run resolved from an option goes in the sidecar body, beside the
+manifest.  Re-running the manifest's options reproduces the numbers.
+Nothing time-dependent (timestamps, hostnames) enters the outputs, so
+reruns with an identical manifest are byte-identical.
 """
 
 from __future__ import annotations

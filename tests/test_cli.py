@@ -379,6 +379,97 @@ class TestIntegrationErrorExitCode:
         assert f"is not finite (delta = {float(delta):g}" in result.output
 
 
+class TestBadInputNamesTheValue:
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["params", "--n", "4"], None, "register_sites must be odd, got 4"),
+            (["params", "--n", "601"], None, "register_sites must not exceed atoms (atoms = 551, register_sites = 601)"),
+            (["ground", "--n", "1"], None, "register size n must be odd and >= 3, got 1"),
+            (["efficiency", "--n", "5", "--eta", "1.5"], None, "eta must lie in [0, 1], got 1.5"),
+            (["oracle", "--atoms", "0"], None, "need at least one atom and one site (atoms = 0, sites = 0)"),
+            (["params"], "linewidth_hz = -1", "linewidth_hz must be > 0, got -1.0"),
+            (["params"], "atoms = 5.5", "line 1: config key 'atoms': expected int, got '5.5'"),
+            (["params"], "wavelength_m = abc", "line 1: config key 'wavelength_m': expected float, got 'abc'"),
+        ],
+    )
+    def test_exits_2_with_the_value(self, runner, tmp_path, args, config, message):
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config + "\n")
+            args = args + ["--config", str(tmp_path / "bad.cfg")]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {message}" in result.output
+
+
+# per subcommand: small-size arguments, with --hz where offered, and the
+# manifest parameters they must give: every option as given (t_end in 1/U)
+# but --out, --seed (top level) and the four that _resolve reads
+MANIFEST_RUNS = {
+    "params": (["--n", "5"], {}),
+    "ground": (["--n", "5", "--dump-state"], {"dump_state": True}),
+    "trajectory": (
+        ["--n", "5", "--t-end", "1", "--hz"],
+        {"hz": True, "dt": None, "t_end": 1.0, "model": "auto"},
+    ),
+    "ensemble": (
+        ["--n", "5", "--traj", "16", "--seed", "3", "--t-end", "0.5", "--model", "auto", "--hz"],
+        {"hz": True, "dt": None, "t_end": 0.5, "n_traj": 16, "model": "auto"},
+    ),
+    "nonselective": (["--n", "5", "--t-end", "2", "--hz"], {"hz": True, "dt": None, "t_end": 2.0}),
+    "efficiency": (["--n", "5", "--t-end", "2", "--hz"], {"hz": True, "t_end": 2.0, "etas": []}),
+    "free": (
+        ["--n", "5", "--u-over-j", "4", "--t-end", "0.5/J", "--dt", "0.01", "--hz", "--from-saturated"],
+        {"hz": True, "dt": 0.01, "t_end": 2.0, "from_saturated": True},
+    ),
+    "oracle": (
+        ["--atoms", "3", "--t-end", "0.5", "--boundary", "periodic", "--hz"],
+        {"hz": True, "dt": None, "atoms": 3, "boundary": "periodic", "delta_over_u": None, "t_end": 0.5},
+    ),
+    "plot": (["--title", "F"], {"x_label": "", "y_label": "", "title": "F"}),
+}
+
+
+class TestManifestRule:
+    @pytest.mark.parametrize("command", MANIFEST_RUNS)
+    def test_manifest_holds_every_option_as_given(self, runner, tmp_path, command):
+        args, expected = MANIFEST_RUNS[command]
+        if command == "plot":
+            csv = tmp_path / "data.csv"
+            csv.write_text("t,a\n0,1\n1,2\n")
+            args = args + ["--in", str(csv)]
+            expected = expected | {"input": str(csv)}
+        out = tmp_path / "run"
+        result = runner.invoke(main, [command, *args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        manifest = read_json(f"{out}.json")["manifest"]
+        # the table follows the rule: every option but these
+        names = {param.name for param in main.commands[command].params}
+        assert set(expected) == names - {"out", "seed", "config", "n", "u_over_j", "strict"}
+        parameters = manifest["parameters"]
+        if "config" in names:
+            config, derived = parameters.pop("config"), parameters.pop("derived")
+            assert set(config) == {"atoms", "register_sites"}
+            assert derived["j_over_u"] > 0
+        assert parameters == expected
+        assert manifest["seed"] == (3 if command == "ensemble" else None)
+        if expected.get("hz"):
+            assert open(f"{out}.csv").readline().startswith("t_s,")
+
+    def test_resolved_values_go_in_the_body(self, runner, tmp_path):
+        p = derive_params(reference_config())
+        runs = {
+            "ensemble": (["--n", "5", "--traj", "16", "--t-end", "0.5", "--model", "auto"], "model", "full"),
+            "oracle": (["--atoms", "3", "--t-end", "0.5"], "delta_over_u", p.delta_over_u),
+            "efficiency": (["--n", "5", "--t-end", "2"], "etas", [1.0, 0.9, 0.8]),
+        }
+        for command, (args, key, value) in runs.items():
+            out = tmp_path / command
+            assert runner.invoke(main, [command, *args, "--out", str(out)]).exit_code == 0
+            assert read_json(f"{out}.json")[key] == value
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize(
         "args",
@@ -405,6 +496,16 @@ class TestUnwritableOutput:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert str(out) in result.output
+
+
+class TestDefaultStepAboveTheBound:
+    def test_unpinned_trajectory_runs_exact(self, runner, tmp_path):
+        # the eliminated model's default step exceeds the RK4 bound here; no
+        # --dt was given, so nothing is refused and the run is exact
+        out = tmp_path / "traj"
+        result = runner.invoke(main, ["trajectory", "--n", "201", "--u-over-j", "3", "--t-end", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert read_json(f"{out}.json")["diagnostics"]["backend"] == "eig"
 
 
 class TestEnsembleCommand:

@@ -1034,6 +1034,25 @@ class TestBackendChoice:
         assert np.array_equal(series.norm_sq, pinned.norm_sq)
         assert np.array_equal(series.fidelity, pinned.fidelity)
 
+    def test_default_step_above_the_bound_is_capped(self, reference_params, monkeypatch):
+        # at n = 201 and U/J = 3 the eliminated model's default step exceeds
+        # the RK4 bound: given as --dt it is refused, but an unpinned run
+        # goes spectral, and where the spectral backend declines, RK4 runs
+        # at the bound
+        p = replace(reference_params, j_over_u=1.0 / 3.0)
+        _, op, _, step, _ = _conditioned_problem(p, 201, "eliminated")
+        assert step > _max_step(op)
+        run = dict(t_end=1.0, model="eliminated", max_samples=11)
+        with pytest.raises(IntegrationError, match="too large"):
+            null_trajectory(p, 201, dt=step, **run)
+        assert null_trajectory(p, 201, **run).backend == "eig"
+        monkeypatch.setattr(dynamics, "_spectral", lambda *args: None)
+        series = null_trajectory(p, 201, **run)
+        pinned = null_trajectory(p, 201, dt=_max_step(op), **run)
+        assert series.backend == pinned.backend == "rk4"
+        np.testing.assert_array_equal(series.norm_sq, pinned.norm_sq)
+        np.testing.assert_array_equal(series.fidelity, pinned.fidelity)
+
     @pytest.mark.parametrize("imaginary", [False, True])
     def test_real_hermitian_operator_is_diagonalised_in_real_arithmetic(self, reference_params, monkeypatch, imaginary):
         # the free Hamiltonian on the bright sector at n = 51 is real; a
@@ -1338,6 +1357,14 @@ class TestStartState:
     def test_evolve_refuses_a_non_finite_amplitude(self, bad, dt):
         with pytest.raises(IntegrationError, match="must be 2 finite numbers"):
             evolve(two_level(1.0), np.array([bad, 0.0]), t_end=1.0, dt=dt, max_samples=11)
+
+    @pytest.mark.parametrize(
+        "start", [np.array(["a", "b"]), np.array([1.0, 0.0], dtype=object)], ids=["str", "object"]
+    )
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_evolve_refuses_a_non_numeric_start(self, start, dt):
+        with pytest.raises(IntegrationError, match=r"must be 2 finite numbers \(dtype"):
+            evolve(two_level(1.0), start, t_end=1.0, dt=dt, max_samples=11)
 
     def test_evolve_refuses_a_start_of_the_wrong_length(self):
         with pytest.raises(IntegrationError, match=r"must be 2 finite numbers \(shape \(3,\)"):
