@@ -132,9 +132,9 @@ class _Run:
         and name what was written.
 
         The manifest lists the CSV and the sidecar, or else the ``outputs``
-        the subcommand wrote itself (the plot's SVG), or else the sidecar
-        alone.  Its parameters are the options, with ``seed`` lifted to the
-        top level, plus the config and the derived parameters.
+        the subcommand names itself (the plot's SVG and sidecar), or else the
+        sidecar alone.  Its parameters are the options, with ``seed`` lifted
+        to the top level, plus the config and the derived parameters.
         """
         json_path = f"{self.out}.json"
         if t is not None:
@@ -315,7 +315,10 @@ def efficiency(run, t_end, etas):
     rho0 = fidelity(perturbative_ground_state(build_basis(n_reg), p))
     t = np.linspace(0.0, t_end, 1001)
     columns = [("rho_ns", np.asarray(nonselective_fidelity_closed(p, n_reg, rho0, t)))]
-    columns += [(f"f_eta_{e:g}", np.asarray(finite_efficiency_fidelity(e, p, n_reg, rho0, t))) for e in etas]
+    # each header holds the shortest digits that tell its value from any other double
+    for e in etas:
+        name = f"f_eta_{np.format_float_positional(e, trim='-')}"
+        columns.append((name, np.asarray(finite_efficiency_fidelity(e, p, n_reg, rho0, t))))
     run.emit(t, columns, {"etas": etas, "rho_tt0": rho0})
 
 
@@ -382,7 +385,7 @@ def plot(run, input, x_label, y_label, title):
     series = [(name, x, data[:, i + 1]) for i, name in enumerate(header[1:])]
     svg_path = f"{run.out}.svg"
     emit_svg(svg_path, series, x_label=x_label or header[0], y_label=y_label, title=title)
-    run.emit(outputs=[svg_path])
+    run.emit(outputs=[svg_path, f"{run.out}.json"])
 
 
 if __name__ == "__main__":

@@ -89,6 +89,24 @@ print(sorted(m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules))
     assert sidecar["bloch_diagnostics"]["cond_v"] >= 1.0
 
 
+def test_trajectory_leaves_out_numpy_ma(tmp_path):
+    # the secular solver's distinct-pole check sorts the poles; np.unique
+    # would import numpy.ma, 35 ms on the first eliminated-model run
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = str(tmp_path / "tr")
+    code = f"""
+import sys
+from zenoreg.cli import main
+main(["trajectory", "--out", {out!r}], standalone_mode=False)
+print("numpy.ma" in sys.modules)
+"""
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+    assert read_json(tmp_path / "tr.json")["diagnostics"]["backend"] == "eig"
+
+
 def test_trajectory_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the spectral run's dense work at dim 101 is serial, so OpenBLAS's
     # thread count changes no byte of the CSV or the sidecar
@@ -686,6 +704,15 @@ class TestEfficiencyCommand:
         assert final[2] > final[3] > final[4]
 
 
+    def test_close_efficiencies_get_distinct_headers(self, runner, tmp_path):
+        out = tmp_path / "eta"
+        args = ["efficiency", "--n", "5", "--t-end", "2", "--eta", "0.1234567", "--eta", "0.1234568"]
+        result = runner.invoke(main, args + ["--out", str(out)])
+        assert result.exit_code == 0, result.output
+        header = open(f"{out}.csv").readline().strip().split(",")
+        assert header == ["t_over_u", "rho_ns", "f_eta_0.1234567", "f_eta_0.1234568"]
+
+
 class TestNonselectiveCommand:
     # below about 1.2/U every level takes fewer steps than the 2000 gaps
     @pytest.mark.parametrize("n, t_end", [(21, "20"), (5, "0.5"), (5, "1"), (21, "1")])
@@ -712,6 +739,13 @@ class TestPlot:
         text = open(f"{out}.svg").read()
         assert text.count("<polyline") == 2
         assert 'width="800" height="600"' in text
+
+    def test_manifest_lists_the_svg_and_the_sidecar(self, runner, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("t,a\n0,1\n1,2\n")
+        out = tmp_path / "fig"
+        assert runner.invoke(main, ["plot", "--in", str(csv), "--out", str(out)]).exit_code == 0
+        assert read_json(f"{out}.json")["manifest"]["outputs"] == [f"{out}.svg", f"{out}.json"]
 
     def test_plot_rerun_identical_up_to_comment(self, runner, tmp_path):
         csv = tmp_path / "data.csv"

@@ -13,6 +13,7 @@ from conftest import free_params, measurement_test_params
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
+    EPS,
     SPECTRAL_BLOCK,
     THRESHOLD_BLOCK,
     PURE_TARGET_BLOCH,
@@ -33,6 +34,7 @@ from zenoreg.dynamics import (
     zeno_decay_rate,
     _conditioned_problem,
     _blocks,
+    _compress,
     _max_step,
     _plan_grid,
     _rk4,
@@ -827,6 +829,32 @@ class TestSpectralEnsemble:
         assert np.array_equal(pinned.cond_fidelity, cond_fidelity, equal_nan=True)
         assert np.array_equal(pinned.jump_times, jump_times, equal_nan=True)
 
+    @pytest.mark.parametrize("n", [51, 501])
+    def test_compressed_register_keeps_the_contract(self, reference_params, monkeypatch, n):
+        # the eliminated register's pair poles are rebuilt from one Taylor
+        # cluster; its jump times bracket their thresholds on that run's
+        # exact norm curve, as above, and sit where the dense product puts
+        # them to the root's conditioning, rounding of N over its slope (at
+        # seed 7: at most 5.8e-11 of t* at n = 51, 1.6e-11 at n = 501)
+        kwargs = dict(n_traj=20_000, seed=7, t_end=30.0, model="eliminated")
+        ens = jump_ensemble(reference_params, n, **kwargs)
+        _, op, psi, step, _ = _conditioned_problem(reference_params, n, "eliminated")
+        _, run = _schrodinger(op, psi, 30.0, None, 501, step)
+
+        def norm(times):
+            return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
+
+        lost = np.isfinite(ens.jump_times)
+        r, t_star = _threshold_draws(7, 20_000)[lost], ens.jump_times[lost]
+        assert lost.any()
+        assert np.all(norm(t_star) <= r + 4.0 * EPS)
+        assert np.all(r < norm(t_star - 1e-11 * 30.0))
+        monkeypatch.setattr(dynamics, "_compress", lambda vecs, coef, lam, t_end: (vecs, coef, lam, None))
+        dense = jump_ensemble(reference_params, n, **kwargs)
+        assert np.array_equal(dense.survival, ens.survival)
+        assert np.array_equal(np.isfinite(dense.jump_times), lost)
+        assert np.max(np.abs(dense.jump_times[lost] - t_star)) <= 1e-10 * t_star.max()
+
     def test_rebuild_rounds_as_the_broadcast_products(self):
         # the block is built without broadcast ufuncs; it must round as they do
         rng = np.random.default_rng(4)
@@ -1003,6 +1031,60 @@ class TestGridRebuild:
         assert np.array_equal(rebuilt[:first], direct[:first])
         error = np.linalg.norm(rebuilt - direct, axis=1)
         assert np.all(error <= 1e-13 * np.linalg.norm(direct, axis=1))
+
+
+@st.composite
+def clustered_spectra(draw):
+    """Unit eigenvectors, coefficients, eigenvalues (Re lam <= 0) and t_end:
+    one to three tight clusters of 5-200 members, each within rho <= 1 of
+    its mean in units of 1 / t_end, and up to five isolated modes."""
+    t_end = draw(st.floats(0.1, 100.0))
+    sizes = draw(st.lists(st.integers(5, 200), min_size=1, max_size=3))
+    radii = draw(st.lists(st.floats(0.0, 1.0), min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = [complex(-rng.uniform(0.0, 50.0), rng.uniform(-50.0, 50.0)) for _ in range(draw(st.integers(0, 5)))]
+    for size, rho in zip(sizes, radii):
+        offsets = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        offsets -= offsets.mean()
+        offsets *= rho / np.max(np.abs(offsets))
+        z += list(complex(-rng.uniform(0.0, 50.0) - rho, rng.uniform(-50.0, 50.0)) + offsets)
+    dim = len(z)
+    vecs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    coef = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vecs / np.linalg.norm(vecs, axis=0), coef, np.array(z) / t_end, t_end
+
+
+class TestCompressedRebuild:
+    @settings(max_examples=30)
+    @given(spectrum=clustered_spectra(), n_samples=st.integers(2, 300))
+    def test_matches_the_dense_product(self, spectrum, n_samples):
+        # the Taylor remainder and the rounding of terms that are each at
+        # most 1 stay within a few EPS sum |coef|, on the grid and at any times
+        vecs, coef, lam, t_end = spectrum
+        basis, plain_coef, plain_lam, taylor = _compress(vecs, coef, lam, t_end)
+        if taylor is None:
+            assert basis is vecs and plain_coef is coef and plain_lam is lam
+        grid = np.linspace(0.0, t_end, n_samples)
+        times = np.random.default_rng(n_samples).uniform(0.0, t_end, 200)
+        for t, uniform in [(grid, True), (times, False)]:
+            blocks = _blocks(basis, plain_coef, plain_lam, t, uniform=uniform, taylor=taylor)
+            rebuilt = np.concatenate([b.copy() for b in blocks])
+            dense = (np.exp(np.outer(t, lam)) * coef) @ vecs.T
+            error = np.linalg.norm(rebuilt - dense, axis=1)
+            assert np.all(error <= 8.0 * EPS * np.abs(coef).sum())
+
+    def test_default_trajectory_rebuilds_from_twelve_columns(self, reference_params, monkeypatch):
+        # the 500 pair poles span 0.012 U, one cluster of 11 terms; T is the twelfth
+        shapes, original = [], dynamics._compress
+
+        def recorded(*args):
+            operands = original(*args)
+            shapes.append(operands[0].shape)
+            return operands
+
+        monkeypatch.setattr(dynamics, "_compress", recorded)
+        series = null_trajectory(reference_params, 501, t_end=30.0)
+        assert series.backend == "eig" and shapes == [(501, 12)]
 
 
 def jordan_like(eta: float) -> SparseOperator:
