@@ -49,6 +49,10 @@ mode keeps the dense product's arithmetic, so a run in which no cluster
 is compressed rounds bit for bit as before.  The default trajectory's 500
 pair poles span 0.012 U, one cluster of 11 terms, so its 5000 samples are
 rebuilt from 12 columns instead of 501.
+Every level records its observables a block of grid points at a time
+(``Propagation.grid_blocks``); a spectral ``evolve`` reads just c_T = B[0] p
+and ||psi|| = ||R p|| off a thin QR B = Q R of the rebuild's columns (error
+cond(B) eps, not the Gram form's cond(B)^2 eps) and forms psi only at t_end.
 The jump ensemble reads one rule off either run; only a jump time is read
 per backend, an RK4 step time or, on the exact curve, a root bisected on
 the closed-form norm.
@@ -337,10 +341,11 @@ def _compress(vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t_end: float)
 
 
 def _blocks(
-    vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, uniform: bool = False, taylor=None
+    vecs: np.ndarray, coef: np.ndarray, lam: np.ndarray, t: np.ndarray, uniform: bool = False, taylor=None, readout=None
 ):
     """Yield the rows vecs (phases_k) for SPECTRAL_BLOCK consecutive t_k at
-    a time, as views of two buffers reused per block.
+    a time, as views of two buffers reused per block, or readout (phases_k)
+    for a ``readout`` matrix with one column per column of ``vecs``.
 
     The first lam.size phases of t_k are coef * exp(lam t_k); the columns of
     ``vecs`` past them take the phases exp(mu t_k) (t_k / t_end)^n of
@@ -352,7 +357,8 @@ def _blocks(
     """
     size = min(SPECTRAL_BLOCK, t.size)
     phases = np.empty((size, vecs.shape[1]), dtype=np.complex128)
-    rows = np.empty((size, vecs.shape[0]), dtype=np.complex128)
+    operand = vecs if readout is None else readout
+    rows = np.empty((size, operand.shape[0]), dtype=np.complex128)
     advance = np.exp(lam * (t[size] - t[0])) if uniform and t.size > size else None
     for start in range(0, t.size, size):
         k = min(size, t.size - start)
@@ -373,7 +379,7 @@ def _blocks(
             times = t[start : start + k, None]
             np.multiply(np.exp(times * mu), (times / t_end) ** power, out=phases[:k, lam.size :])
         with _serial_blas(vecs.shape[0]):
-            np.matmul(phases[:k], vecs.T, out=rows[:k])
+            np.matmul(phases[:k], operand.T, out=rows[:k])
         yield rows[:k]
 
 
@@ -393,6 +399,18 @@ class _Diagnosed:
         return {"backend": self.backend, "cond_v": self.cond_v}
 
 
+def _gather(points: Iterator[np.ndarray], stride: int):
+    """Every ``stride``-th point copied into one SPECTRAL_BLOCK-row buffer, yielded as it fills."""
+    rows = None
+    for k, y in enumerate(itertools.islice(points, 0, None, stride)):
+        rows = np.empty((SPECTRAL_BLOCK, y.size), dtype=y.dtype) if rows is None else rows
+        rows[k % SPECTRAL_BLOCK] = y
+        if k % SPECTRAL_BLOCK == SPECTRAL_BLOCK - 1:
+            yield rows
+    if (k + 1) % SPECTRAL_BLOCK:
+        yield rows[: (k + 1) % SPECTRAL_BLOCK]
+
+
 @dataclass
 class Propagation(_Diagnosed):
     """One run of dy/dt = G y and the backend that produced it.
@@ -401,10 +419,15 @@ class Propagation(_Diagnosed):
     the start, advanced in place, after every step, or a row of a spectral
     run's grid blocks (the real part for a real run); each is a buffer the
     next point may overwrite, so a caller that keeps one copies it.  Every
-    ``stride``-th point is a grid point, and iterating yields just those.
-    A spectral run also gives ``blocks(times)``, the exact states at any
-    times |t| <= t_end, yielded as in ``_blocks``; it is None for RK4.
-    Both rebuild from the same columns (``_compress``): each tight cluster
+    ``stride``-th point is a grid point.  ``grid_blocks()`` yields them a
+    block at a time as (grid slice, rows), views the next block overwrites:
+    a spectral run's ``_blocks``, or RK4's points gathered by ``_gather``;
+    callers record observables per block, and iterating flattens them.  A
+    spectral run also carries its rebuild's ``columns`` B, for which
+    ``grid_blocks(readout)`` yields readout p_k in place of B p_k (p_k the
+    phases; ``evolve`` reads c_T and the norm from a thin QR of B), and
+    ``blocks(times)``, the exact states at any |t| <= t_end; both are None
+    for RK4.  All rebuild from ``_compress``'s columns: each tight cluster
     of eigenvalues is one Taylor series within EPS sum |a| of the dense
     product, and with no cluster compressed they are that product.
     """
@@ -413,9 +436,15 @@ class Propagation(_Diagnosed):
     h: float
     stride: int = 1
     blocks: Callable[[np.ndarray], Iterator[np.ndarray]] | None = None
+    columns: np.ndarray | None = None
+    grid: Callable[..., Iterator[np.ndarray]] | None = None
+
+    def grid_blocks(self, readout: np.ndarray | None = None):
+        blocks = _gather(self.points, self.stride) if self.grid is None else self.grid(readout)
+        return ((slice(i, i + len(rows)), rows) for i, rows in zip(itertools.count(0, SPECTRAL_BLOCK), blocks))
 
     def __iter__(self):
-        return itertools.islice(self.points, 0, None, self.stride)
+        return (row for _, rows in self.grid_blocks() for row in rows)
 
 
 def _dense_eigh(op: SparseOperator):
@@ -615,6 +644,8 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
         backend="eigh" if cond_v is None else "eig",
         cond_v=cond_v,
         blocks=lambda times: _blocks(vecs, coef, lam, times, taylor=taylor),
+        columns=vecs,
+        grid=lambda readout=None: (r.real if real else r for r in _blocks(vecs, coef, lam, t, True, taylor, readout)),
     )
 
 
@@ -736,11 +767,17 @@ def evolve(
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else psi0
     t, run = _schrodinger(op, amps0, t_end, dt, max_samples, default_dt)
-    norm = np.empty(t.size)
-    c_t = np.empty(t.size, dtype=np.complex128)
-    for i, y in enumerate(run):
-        norm[i] = np.vdot(y, y).real
-        c_t[i] = y[0]
+    norm, c_t = np.empty(t.size), np.empty(t.size, dtype=np.complex128)
+    # a spectral run's columns B = Q R give c_T = B[0] p and ||psi|| = ||R p||
+    readout, skip = None, 0
+    with _serial_blas(op.dim):
+        if run.columns is not None:
+            q, r = np.linalg.qr(run.columns)
+            readout, skip = np.vstack([run.columns[:1], r]), 1
+        for at, rows in run.grid_blocks(readout):
+            norm[at] = np.vecdot(rows[:, skip:], rows[:, skip:]).real
+            c_t[at] = rows[:, 0]
+        y = rows[-1] if readout is None else q @ rows[-1, 1:]
     if embed is not None:
         final = embed(y)
     else:
@@ -1171,13 +1208,13 @@ def reduced_master_equation(
     gen, max_step = _rme_generator(p, basis)
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
     t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p))
-    out_tt = np.empty(t.size)
-    out_ss = np.empty(t.size)
-    for i, y in enumerate(run):
-        out_tt[i] = y[0]
-        out_ss[i] = y[1 : 1 + m].sum()
-        if y[0] < -1e-6 or y[1 : 1 + m].min(initial=0.0) < -1e-6:
-            raise IntegrationError(f"population went negative at t = {t[i]:.6g}")
+    out_tt, out_ss = np.empty(t.size), np.empty(t.size)
+    for at, rows in run.grid_blocks():
+        out_tt[at] = rows[:, 0]
+        out_ss[at] = rows[:, 1 : 1 + m].sum(axis=1)
+        negative = (rows[:, 0] < -1e-6) | (rows[:, 1 : 1 + m].min(axis=1, initial=0.0) < -1e-6)
+        if negative.any():
+            raise IntegrationError(f"population went negative at t = {t[at][negative.argmax()]:.6g}")
 
     return RMESeries(
         t=t,
@@ -1262,7 +1299,7 @@ def bloch_evolution(
     rows, cols = np.nonzero(gen)  # J = 0 or kappa = 0 leaves entries out
     op = SparseOperator._canonical(4, rows, cols, gen[rows, cols])
     t, run = _propagate(op, 1.0, [b0.u, b0.v, b0.w, b0.x], t_end, None, max_samples, _max_step(op))
-    out = np.array([row.copy() for row in run])
+    out = np.concatenate([rows.copy() for _, rows in run.grid_blocks()])
     return BlochSeries(t, *out.T, **run.diagnostics())
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import (
     DENSE_EIG_CUTOFF,
     MAX_OUTPUT_SAMPLES,
-    SPECTRAL_BLOCK,
     TrajectorySeries,
     _dense_eigh,
     _schrodinger,
@@ -204,18 +203,11 @@ def exact_evolve_fidelity(
     psi = np.zeros(basis.dimension)
     psi[target] = 1.0
     t, run = _schrodinger(op, psi, t_end, dt, max_samples)
-    fid = np.empty(t.size)
-    norm = np.empty(t.size)
-    energy = np.empty(t.size)
-    # <H> is summed over the entries once per block of SPECTRAL_BLOCK states
-    block = np.empty((min(SPECTRAL_BLOCK, t.size), op.dim), dtype=np.complex128)
-    for i, y in enumerate(run):
-        norm[i] = np.vdot(y, y).real
-        fid[i] = abs(y[target]) ** 2  # overlap with the unit-filled state
-        k = i % len(block)
-        block[k] = y
-        if k == len(block) - 1 or i == t.size - 1:
-            energy[i - k : i + 1] = op.expectations(block[: k + 1]) / norm[i - k : i + 1]
+    fid, norm, energy = np.empty(t.size), np.empty(t.size), np.empty(t.size)
+    for at, rows in run.grid_blocks():
+        norm[at] = np.vecdot(rows, rows).real
+        fid[at] = np.abs(rows[:, target]) ** 2  # overlap with the unit-filled state
+        energy[at] = op.expectations(rows) / norm[at]
     return TrajectorySeries(t=t, fidelity=fid, norm_sq=norm, energy=energy, **run.diagnostics())
 
 

@@ -27,23 +27,25 @@ def _tool_version() -> str:
 
 
 def format_number(x) -> str:
-    """CSV number format: 12 significant digits, '.' decimal."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
+    """CSV number format: 12 significant digits, '.' decimal (a bool as 1 or 0)."""
     return f"{float(x):.12g}"
 
 
 def write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Comma-delimited, LF endings, 12 significant digits."""
+    """Comma-delimited, LF endings, each number as ``format_number`` writes
+    it (a whole row formatted at once); a complex column is refused."""
     if len(header) != len(columns):
         raise ValueError("header and column counts differ")
     lengths = {len(c) for c in columns}
     if len(lengths) != 1:
         raise ValueError("columns must share one length")
+    for name, column in zip(header, columns):
+        if np.iscomplexobj(column):
+            raise ValueError(f"column {name!r} is complex; write its real and imaginary parts as two columns")
+    table = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns]).tolist()
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(format_number(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(fmt % tuple(row) for row in table))
 
 
 @dataclass

@@ -18,10 +18,6 @@ class SvgError(ValueError):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _label(x: float) -> str:
     return f"{x:.6g}"
 
@@ -81,22 +77,15 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
             f'font-family="sans-serif" font-size="16">{_escape(title)}</text>'
         )
     # min/max tick labels
-    lines.append(
-        f'<text x="{MARGIN_L}" y="{HEIGHT - MARGIN_B + 20}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_label(x_min)}</text>'
-    )
-    lines.append(
-        f'<text x="{WIDTH - MARGIN_R}" y="{HEIGHT - MARGIN_B + 20}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_label(x_max)}</text>'
-    )
-    lines.append(
-        f'<text x="{MARGIN_L - 8}" y="{MARGIN_T + plot_h + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{_label(y_min)}</text>'
-    )
-    lines.append(
-        f'<text x="{MARGIN_L - 8}" y="{MARGIN_T + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{_label(y_max)}</text>'
-    )
+    for x, y, anchor, value in [
+        (MARGIN_L, HEIGHT - MARGIN_B + 20, "middle", x_min),
+        (WIDTH - MARGIN_R, HEIGHT - MARGIN_B + 20, "middle", x_max),
+        (MARGIN_L - 8, MARGIN_T + plot_h + 4, "end", y_min),
+        (MARGIN_L - 8, MARGIN_T + 4, "end", y_max),
+    ]:
+        lines.append(
+            f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" font-size="12">{_label(value)}</text>'
+        )
     if x_label:
         lines.append(
             f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 16}" text-anchor="middle" '
@@ -111,7 +100,7 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
 
     for i, (name, xs, ys) in enumerate(cleaned):
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        points = " ".join("%.2f,%.2f" % xy for xy in zip(sx(xs).tolist(), sy(ys).tolist()))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )
