@@ -127,22 +127,18 @@ SECULAR_CERTIFICATE = 4
 SECULAR_ITERATIONS = 12
 # Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
 # rebuild's block products, the oracle's dense eigh) runs on one thread
-# (``_serial_blas``).  Median seconds of wall / CPU time of one call on a
-# 2-vCPU x86-64 box with numpy's OpenBLAS, 2 threads vs 1, for register
-# operators at n = dim (eig: LAPACK on the eliminated model's bright sector,
-# which ``_secular_eig`` now solves without LAPACK in 0.03-0.07 s at dim 501,
-# so the column stands for a dense non-Hermitian operator of that size, such
-# as the full model's sector at n <= 256; eigh: the free Hamiltonian's,
-# diagonalised as a complex matrix):
+# (``_serial_blas``).  Median seconds of wall / CPU time of one eigh of the
+# free Hamiltonian at n = dim, diagonalised as a complex matrix, on a 2-vCPU
+# x86-64 box with numpy's OpenBLAS:
 #
-#    dim   eig 2 threads   eig 1 thread   eigh 2 threads   eigh 1 thread
-#    501     0.69 / 1.22    0.67 / 0.72      0.20 / 0.31     0.22 / 0.32
-#    641     1.16 / 2.16    1.22 / 1.30      0.28 / 0.54     0.45 / 0.57
-#    769     1.57 / 2.93    1.74 / 1.84      0.46 / 0.84     0.73 / 0.84
-#   1001     2.56 / 4.95    3.13 / 3.21      0.96 / 1.83     1.60 / 1.70
+#    dim     2 threads      1 thread
+#    501   0.20 / 0.31   0.22 / 0.32
+#    641   0.28 / 0.54   0.45 / 0.57
+#    769   0.46 / 0.84   0.73 / 0.84
+#   1001   0.96 / 1.83   1.60 / 1.70
 #
-# At dim 501 the second thread saves at most 0.02 s of wall time for up to
-# 0.5 s of CPU time; from 641 it saves 0.17 s or more (eigh).
+# At dim 501 the second thread saves 0.02 s of wall time; from 641 it saves
+# 0.17 s or more.
 SERIAL_BLAS_DIM = 512
 # Longest RK4 run accepted: about 2 h at the 70 us a step measured at dim 1001
 # on the box above.  The longest RK4 run the library itself asks for, the
@@ -422,14 +418,14 @@ class Propagation(_Diagnosed):
     ``stride``-th point is a grid point.  ``grid_blocks()`` yields them a
     block at a time as (grid slice, rows), views the next block overwrites:
     a spectral run's ``_blocks``, or RK4's points gathered by ``_gather``;
-    callers record observables per block, and iterating flattens them.  A
-    spectral run also carries its rebuild's ``columns`` B, for which
-    ``grid_blocks(readout)`` yields readout p_k in place of B p_k (p_k the
-    phases; ``evolve`` reads c_T and the norm from a thin QR of B), and
-    ``blocks(times)``, the exact states at any |t| <= t_end; both are None
-    for RK4.  All rebuild from ``_compress``'s columns: each tight cluster
-    of eigenvalues is one Taylor series within EPS sum |a| of the dense
-    product, and with no cluster compressed they are that product.
+    callers record observables per block.  A spectral run also carries its
+    rebuild's ``columns`` B, for which ``grid_blocks(readout)`` yields
+    readout p_k in place of B p_k (p_k the phases; ``evolve`` reads c_T and
+    the norm from a thin QR of B), and ``blocks(times)``, the exact states
+    at any |t| <= t_end; both are None for RK4.  All rebuild from
+    ``_compress``'s columns: each tight cluster of eigenvalues is one
+    Taylor series within EPS sum |a| of the dense product, and with no
+    cluster compressed they are that product.
     """
 
     points: Iterator[np.ndarray]
@@ -442,9 +438,6 @@ class Propagation(_Diagnosed):
     def grid_blocks(self, readout: np.ndarray | None = None):
         blocks = _gather(self.points, self.stride) if self.grid is None else self.grid(readout)
         return ((slice(i, i + len(rows)), rows) for i, rows in zip(itertools.count(0, SPECTRAL_BLOCK), blocks))
-
-    def __iter__(self):
-        return (row for _, rows in self.grid_blocks() for row in rows)
 
 
 def _dense_eigh(op: SparseOperator):
@@ -506,23 +499,23 @@ def _secular_roots(a0: complex, d: np.ndarray, c: np.ndarray):
     gaps = origin[:, None] - d
     own = (np.arange(1, m + 1), np.arange(m))
     with np.errstate(all="ignore"):
-        recip = np.divide(1.0, gaps)  # then 1 / (lam_k - d_h) of the live roots
+        recip = np.divide(1.0, gaps)  # then 1 / (lam_k - d_h)
         recip[own] = 0.0
         pull = recip @ c2
         tau = np.concatenate(([pull[0]], c2 / (d - a0 - pull[1:])))
-        live = np.arange(m + 1)
+        # a root takes the step that finds it converged, then keeps its tau
+        done = np.zeros(m + 1, dtype=bool)
         for _ in range(SECULAR_ITERATIONS):
-            r = np.take(gaps, live, axis=0, out=recip[: live.size])
-            r += tau[live, None]
+            r = np.add(gaps, tau[:, None], out=recip)
             np.reciprocal(r, out=r)
-            f = origin[live] - a0 + tau[live] - r @ c2
+            f = origin - a0 + tau - r @ c2
             # f is zero to within the rounding of its m + 2 terms
-            magnitude = np.abs(origin[live] - a0) + np.abs(tau[live]) + np.abs(r) @ np.abs(c2)
+            magnitude = np.abs(origin - a0) + np.abs(tau) + np.abs(r) @ np.abs(c2)
             converged = np.abs(f) <= (m + 2) * EPS * magnitude
             r *= r
-            tau[live] -= f / (1.0 + r @ c2)
-            live = live[~converged]
-            if not live.size:
+            tau = np.where(done, tau, tau - f / (1.0 + r @ c2))
+            done |= converged
+            if done.all():
                 break
         else:
             return None
@@ -636,16 +629,20 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
         lam = scale * w
         _refuse_lost_phases(lam, t[-1])
         vecs, coef, lam, taylor = _compress(vecs, coef, lam, t[-1])
+    rebuild = functools.partial(_blocks, vecs, coef, lam, taylor=taylor)
     real = not np.iscomplexobj(y)
-    points = _blocks(vecs, coef, lam, t, uniform=True, taylor=taylor)
+
+    def grid(readout=None):
+        return (rows.real if real else rows for rows in rebuild(t, True, readout=readout))
+
     return Propagation(
-        (row for rows in points for row in (rows.real if real else rows)),
+        (row for rows in grid() for row in rows),
         t[1],
         backend="eigh" if cond_v is None else "eig",
         cond_v=cond_v,
-        blocks=lambda times: _blocks(vecs, coef, lam, times, taylor=taylor),
+        blocks=rebuild,
         columns=vecs,
-        grid=lambda readout=None: (r.real if real else r for r in _blocks(vecs, coef, lam, t, True, taylor, readout)),
+        grid=grid,
     )
 
 
@@ -732,12 +729,6 @@ class TrajectorySeries(_Diagnosed):
     final_state: StateVector | None = None
     energy: np.ndarray | None = None
 
-    def saturation_time(self, level: float = 0.999) -> float | None:
-        """First time with F >= level * F(t_end)."""
-        target = level * self.fidelity[-1]
-        hits = np.nonzero(self.fidelity >= target)[0]
-        return float(self.t[hits[0]]) if hits.size else None
-
 
 def evolve(
     op: SparseOperator,
@@ -746,14 +737,13 @@ def evolve(
     dt: float | None = None,
     max_samples: int = MAX_OUTPUT_SAMPLES,
     default_dt: float | None = None,
-    embed=None,
 ) -> TrajectorySeries:
     """Integrate i dpsi/dt = H psi from ``psi0``.
 
     ``psi0`` may be a StateVector or a bare amplitude array of any numeric
     dtype, which is checked and never written (``_propagate``).
-    ``final_state`` is the state at t_end: ``embed(amplitudes)`` if given,
-    else a StateVector over ``psi0``'s basis, or None for a bare array.  The reported
+    ``final_state`` is the state at t_end: a StateVector over ``psi0``'s
+    basis, or, for a bare array, a copy of its amplitudes.  The reported
     fidelity is the conditioned target population |psi_T|^2/||psi||^2; T is
     index 0 of both the full and the eliminated layout.  A given ``dt``
     pins fixed-step RK4, the reference; the step must satisfy
@@ -778,10 +768,7 @@ def evolve(
             norm[at] = np.vecdot(rows[:, skip:], rows[:, skip:]).real
             c_t[at] = rows[:, 0]
         y = rows[-1] if readout is None else q @ rows[-1, 1:]
-    if embed is not None:
-        final = embed(y)
-    else:
-        final = StateVector(psi0.basis, y.copy()) if isinstance(psi0, StateVector) else None
+    final = StateVector(psi0.basis, y.copy()) if isinstance(psi0, StateVector) else y.copy()
     return TrajectorySeries(
         t=t,
         fidelity=_conditioned_population(c_t, norm),
@@ -837,9 +824,7 @@ def null_trajectory(
     with the model's default step for RK4.
     """
     _, op, psi0, step, sector = _conditioned_problem(p, n, model)
-    series = evolve(
-        op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step, embed=sector.embed
-    )
+    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step)
     rise = np.nonzero(np.diff(series.norm_sq) > NORM_MONOTONE_TOL)[0]
     if rise.size:
         i = rise[0] + 1
@@ -847,14 +832,16 @@ def null_trajectory(
             f"conditioned norm increased at t = {series.t[i]:.6g} "
             f"({series.norm_sq[i - 1]:.12g} -> {series.norm_sq[i]:.12g})"
         )
-    # a vanished state would read F = 0, and saturation_time t = 0
+    # a vanished state would read F = 0, and t_sat 0
     gone = np.flatnonzero(series.norm_sq <= 0.0)
     if gone.size:
         raise IntegrationError(
             f"conditioned state vanished (||psi||^2 underflowed to 0) at t = {series.t[gone[0]]:.6g}, "
             f"before t_end = {t_end:g}"
         )
-    series.t_sat = series.saturation_time()
+    hits = np.nonzero(series.fidelity >= 0.999 * series.fidelity[-1])[0]
+    series.t_sat = float(series.t[hits[0]]) if hits.size else None
+    series.final_state = sector.embed(series.final_state)
     return series
 
 
@@ -887,9 +874,9 @@ class EnsembleResult(_Diagnosed):
     uncond_t_population: np.ndarray
     jump_times: np.ndarray
 
-    def jump_histogram(self, bins: int = 50):
+    def jump_histogram(self):
         finite = self.jump_times[np.isfinite(self.jump_times)]
-        edges = np.linspace(0.0, float(self.t[-1]), bins + 1)
+        edges = np.linspace(0.0, float(self.t[-1]), 51)  # 50 bins
         counts, _ = np.histogram(finite, bins=edges)
         return edges, counts
 
@@ -1254,10 +1241,6 @@ class BlochSeries(_Diagnosed):
     @property
     def rho_tt(self) -> np.ndarray:
         return 0.5 * (self.x - self.w)
-
-    @property
-    def rho_ss(self) -> np.ndarray:
-        return 0.5 * (self.x + self.w)
 
 
 def collective_coupling(p: DerivedParams, n: int) -> float:

@@ -314,14 +314,10 @@ def reference_config() -> PhysicalConfig:
     return PhysicalConfig()
 
 
-_BOOL_KEYS = {"light_shift_doubled"}
-_INT_KEYS = {"atoms", "register_sites"}
-
-
 def parse_config_text(text: str) -> PhysicalConfig:
     """Parse a flat key=value config (one key per line, '#' comments)."""
     values: dict = {}
-    valid = {f.name for f in fields(PhysicalConfig)}
+    kinds = {f.name: f.type for f in fields(PhysicalConfig)}  # annotation text: "float", "int" or "bool"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -331,14 +327,14 @@ def parse_config_text(text: str) -> PhysicalConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in valid:
+        if key not in kinds:
             raise ParameterError(f"unknown config key {key!r}")
-        if key in _BOOL_KEYS:
+        if kinds[key] == "bool":
             if value.lower() not in ("true", "false", "1", "0"):
                 raise ParameterError(f"config key {key!r}: expected boolean, got {value!r}")
             values[key] = value.lower() in ("true", "1")
         else:
-            kind = int if key in _INT_KEYS else float
+            kind = int if kinds[key] == "int" else float
             try:
                 values[key] = kind(value)
             except ValueError:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -90,25 +90,6 @@ class RestrictedBasis:
     def pair_energies(self, delta: float) -> np.ndarray:
         """E(S_j^+-) of each pair state in units of U."""
         return pair_state_energy(self.pair_j, self.pair_sign, 1.0, delta)
-
-    index_t: int = field(default=0, init=False, repr=False)
-
-    def _bond_pos(self, j: int) -> int:
-        pos = j + (self.n - 1) // 2
-        if not 0 <= pos < self.n_bonds:
-            raise ModelError(f"bond label {j} out of range for n={self.n}")
-        return pos
-
-    def s_index(self, j: int, sign: int) -> int:
-        """Full-basis index of |S_j^+> (sign=+1) or |S_j^-> (sign=-1)."""
-        return 1 + 4 * self._bond_pos(j) + (0 if sign > 0 else 1)
-
-    def m_index(self, j: int, sign: int) -> int:
-        return 1 + 4 * self._bond_pos(j) + (2 if sign > 0 else 3)
-
-    def reduced_s_index(self, j: int, sign: int) -> int:
-        """Index of |S_j^+-> in the T+S (eliminated) layout."""
-        return 1 + 2 * self._bond_pos(j) + (0 if sign > 0 else 1)
 
 
 def build_basis(n: int) -> RestrictedBasis:

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TOOL_NAME = "zenoreg"
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
+from . import __version__
 
 
 def format_number(x) -> str:
@@ -56,20 +50,18 @@ class RunManifest:
     parameters: dict
     seed: int | None = None
     outputs: list = field(default_factory=list)
-    tool: str = TOOL_NAME
-    version: str = field(default_factory=_tool_version)
 
     @property
     def provenance(self) -> str:
         digest = hashlib.sha256(
             json.dumps(self.parameters, sort_keys=True, default=str).encode()
         ).hexdigest()[:12]
-        return f"{self.tool}-{self.version}+params.{digest}"
+        return f"zenoreg-{__version__}+params.{digest}"
 
     def as_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "zenoreg",
+            "version": __version__,
             "subcommand": self.subcommand,
             "seed": self.seed,
             "parameters": self.parameters,

@@ -7,7 +7,11 @@ line holds the fixed package version, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import __version__
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 40, 60
@@ -16,10 +20,6 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 class SvgError(ValueError):
     pass
-
-
-def _label(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = "") -> None:
@@ -46,8 +46,8 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
     x_max = max(float(xs.max()) for _, xs, _ in cleaned)
     y_min = min(float(ys.min()) for _, _, ys in cleaned)
     y_max = max(float(ys.max()) for _, _, ys in cleaned)
-    if x_max == x_min:
-        x_max = x_min + 1.0
+    if x_max == x_min:  # at |x| >= 2**53, where 1.0 may round away, one ulp
+        x_max = max(x_min + 1.0, math.nextafter(x_min, math.inf))
     if y_max == y_min:
         pad = abs(y_min) * 0.05 or 0.5
         y_min, y_max = y_min - pad, y_max + pad
@@ -56,17 +56,15 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def sx(x):
-        return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
+        return MARGIN_L + _fraction(x, x_min, x_max) * plot_w
 
     def sy(y):
-        return MARGIN_T + plot_h - (y - y_min) / (y_max - y_min) * plot_h
-
-    from . import __version__
+        return MARGIN_T + plot_h - _fraction(y, y_min, y_max) * plot_h
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f"<!-- {TOOL_COMMENT} {__version__} -->",
+        f"<!-- zenoreg {__version__} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444" stroke-width="1"/>',
@@ -84,7 +82,7 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
         (MARGIN_L - 8, MARGIN_T + 4, "end", y_max),
     ]:
         lines.append(
-            f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" font-size="12">{_label(value)}</text>'
+            f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" font-size="12">{value:.6g}</text>'
         )
     if x_label:
         lines.append(
@@ -120,8 +118,13 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
         fh.write("\n".join(lines) + "\n")
 
 
+def _fraction(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """(v - lo) / (hi - lo); where hi - lo overflows, of the halved values,
+    which halving leaves exact but for subnormal ones."""
+    if not math.isfinite(hi - lo):
+        v, lo, hi = v * 0.5, lo * 0.5, hi * 0.5
+    return (v - lo) / (hi - lo)
+
+
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-TOOL_COMMENT = "zenoreg"

@@ -57,3 +57,38 @@ def free_params(u_over_j: float, delta: float = 0.0) -> DerivedParams:
         vc_over_u=0.0,
         s_a=0.0,
     )
+
+
+# Per-bond index arithmetic of the register layout (``register`` module
+# docstring), kept here as the reference that ``RestrictedBasis``'s pair
+# table (``s_slots``, ``pair_j``, ``pair_sign``) is checked against; |T>
+# is index 0 of both layouts.
+
+
+def bond_position(basis, j: int) -> int:
+    """Position of bond j among the bonds in ascending order."""
+    pos = j + (basis.n - 1) // 2
+    if not 0 <= pos < basis.n_bonds:
+        raise ValueError(f"bond label {j} out of range for n={basis.n}")
+    return pos
+
+
+def s_index(basis, j: int, sign: int) -> int:
+    """Full-layout index of |S_j^+> (sign=+1) or |S_j^-> (sign=-1)."""
+    return 1 + 4 * bond_position(basis, j) + (0 if sign > 0 else 1)
+
+
+def m_index(basis, j: int, sign: int) -> int:
+    """Full-layout index of |M_j^+> (sign=+1) or |M_j^-> (sign=-1)."""
+    return 1 + 4 * bond_position(basis, j) + (2 if sign > 0 else 3)
+
+
+def reduced_s_index(basis, j: int, sign: int) -> int:
+    """Index of |S_j^+-> in the T+S (eliminated) layout."""
+    return 1 + 2 * bond_position(basis, j) + (0 if sign > 0 else 1)
+
+
+def grid_rows(run):
+    """The grid points of a ``Propagation``, one row at a time, each a view
+    that the next block overwrites."""
+    return (row for _, rows in run.grid_blocks() for row in rows)

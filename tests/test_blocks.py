@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import measurement_test_params
+from conftest import grid_rows, measurement_test_params
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     EPS,
@@ -50,13 +50,6 @@ class TestPinnedRk4Blocks:
         assert [(at.start, at.stop) for at in slices] == [(0, 128), (128, 256), (256, 300)]
         assert np.array_equal(np.concatenate(rows), expected)
 
-    def test_iterating_flattens_the_blocks(self):
-        t, run = pinned_run(200)
-        _, reference = pinned_run(200)
-        rows = np.array([y.copy() for y in run])
-        expected = np.array([y.copy() for y in itertools.islice(reference.points, 0, None, reference.stride)])
-        assert rows.shape == (t.size, 5) and np.array_equal(rows, expected)
-
     def test_real_runs_stay_real(self):
         p = measurement_test_params(5)
         basis = build_basis(5)
@@ -71,9 +64,9 @@ class TestPinnedRk4Blocks:
 
     def test_evolve_records_what_the_per_sample_loop_did(self):
         t, reference = pinned_run()
-        rows = np.array([y.copy() for y in reference])
+        rows = np.array([y.copy() for y in grid_rows(reference)])
         _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
-        series = evolve(op, psi, t[-1], dt=step, max_samples=t.size, embed=np.copy)
+        series = evolve(op, psi, t[-1], dt=step, max_samples=t.size)
         norm = np.array([np.vdot(y, y).real for y in rows])
         assert series.backend == "rk4"
         assert np.allclose(series.norm_sq, norm, rtol=4 * EPS, atol=0.0)
@@ -95,7 +88,7 @@ class TestNegativityStop:
         gen, max_step = _rme_generator(p, basis)
         y = np.concatenate(([0.0], rho0.rho_ss, rho_st.real, rho_st.imag))
         t, run = _propagate(gen, 1.0, y, 0.05, dt, 400, max_step, eliminated_model_step(p))
-        first = next(i for i, y in enumerate(run) if y[0] < -1e-6 or y[1 : 1 + m].min() < -1e-6)
+        first = next(i for i, y in enumerate(grid_rows(run)) if y[0] < -1e-6 or y[1 : 1 + m].min() < -1e-6)
         assert first > SPECTRAL_BLOCK and first % SPECTRAL_BLOCK not in (0, SPECTRAL_BLOCK - 1)
         with pytest.raises(IntegrationError, match=f"population went negative at t = {t[first]:.6g}$"):
             reduced_master_equation(p, 5, rho0, t_end=0.05, dt=dt, max_samples=400)
@@ -140,10 +133,10 @@ class TestProjectedEvolve:
         op, psi, step = problem(reference_params)
         recorded, population = [], dynamics._conditioned_population
         monkeypatch.setattr(dynamics, "_conditioned_population", lambda c_t, norm: recorded.append(c_t) or population(c_t, norm))
-        series = evolve(op, psi, t_end, default_dt=step, embed=np.copy)
+        series = evolve(op, psi, t_end, default_dt=step)
         _, run = _schrodinger(op, psi, t_end, None, series.t.size, step)
         assert series.backend == run.backend == backend and run.columns.shape[1] < op.dim
-        rows = np.array([y.copy() for y in run])
+        rows = np.array([y.copy() for y in grid_rows(run)])
         assert np.max(np.abs(series.norm_sq - np.vecdot(rows, rows).real)) <= 1e-13
         assert np.max(np.abs(recorded[0] - rows[:, 0])) <= 1e-13
         assert np.linalg.norm(series.final_state - rows[-1]) <= 1e-13

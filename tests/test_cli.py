@@ -409,6 +409,7 @@ class TestBadInputNamesTheValue:
             (["params"], "linewidth_hz = -1", "linewidth_hz must be > 0, got -1.0"),
             (["params"], "atoms = 5.5", "line 1: config key 'atoms': expected int, got '5.5'"),
             (["params"], "wavelength_m = abc", "line 1: config key 'wavelength_m': expected float, got 'abc'"),
+            (["trajectory", "--t-end", "abc"], None, "cannot parse t-end value 'abc'"),
         ],
     )
     def test_exits_2_with_the_value(self, runner, tmp_path, args, config, message):
@@ -757,6 +758,45 @@ class TestPlot:
         lines_b = [l for l in open(f"{b}.svg").read().splitlines() if not l.startswith("<!--")]
         assert lines_a == lines_b
         assert open(f"{a}.svg", "rb").read() == open(f"{b}.svg", "rb").read()
+
+    def test_one_column_csv_exits_2(self, runner, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("t\n0\n1\n")
+        result = runner.invoke(main, ["plot", "--in", str(csv), "--out", str(tmp_path / "fig")])
+        assert result.exit_code == 2, result.output
+        assert "error: CSV must carry a header row and at least two columns" in result.output
+
+    def test_y_label_is_rotated_and_escaped(self, runner, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("t,a\n0,1\n1,2\n")
+        out = tmp_path / "fig"
+        assert runner.invoke(main, ["plot", "--in", str(csv), "--out", str(out), "--y-label", "F <x>"]).exit_code == 0
+        assert (
+            '<text x="22" y="290" text-anchor="middle" font-family="sans-serif" font-size="14" '
+            'transform="rotate(-90 22 290)">F &lt;x&gt;</text>'
+        ) in open(f"{out}.svg").read()
+
+    @pytest.mark.parametrize(
+        "rows, points",
+        [
+            ("9007199254740992,0\n9007199254740992,1\n", "80.00,540.00 80.00,40.00"),
+            ("-1e308,0\n1e308,1\n", "80.00,540.00 770.00,40.00"),
+            ("0,-1e308\n1,1e308\n", "80.00,540.00 770.00,40.00"),
+        ],
+        ids=["flat x at 2**53", "x spans 2e308", "y spans 2e308"],
+    )
+    def test_degenerate_spans_give_finite_points(self, runner, tmp_path, rows, points):
+        # x_max - x_min rounds to 0 or overflows; the span is widened by one
+        # ulp, or the values halved
+        csv = tmp_path / "data.csv"
+        csv.write_text("t,a\n" + rows)
+        out = tmp_path / "fig"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["plot", "--in", str(csv), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        svg = open(f"{out}.svg").read()
+        assert "nan" not in svg and f'points="{points}"' in svg
 
     def test_nonfinite_rejected_with_index(self, tmp_path):
         with pytest.raises(SvgError, match="index 1"):

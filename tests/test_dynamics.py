@@ -9,7 +9,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import free_params, measurement_test_params
+from conftest import free_params, grid_rows, measurement_test_params, reduced_s_index
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
@@ -108,8 +108,9 @@ class TestEvolve:
         series = evolve(h, amps, t_end=100.0, max_samples=201)
         assert np.max(np.abs(series.norm_sq - 1.0)) < 1e-8
         # energy of the evolving state stays at its initial value
-        final = series.final_state
-        assert final is None  # bare array input
+        final = series.final_state  # a bare-array start: its amplitudes at t_end, a copy
+        assert final.shape == amps.shape and not np.shares_memory(final, amps)
+        assert abs(np.vdot(final, final).real - series.norm_sq[-1]) < 1e-12
         series2 = evolve(h, perturbative_ground_state(b, p), t_end=100.0, max_samples=101)
         psi_t = series2.final_state.amplitudes
         e_t = float(np.vdot(psi_t, h.matvec(psi_t)).real) / float(np.vdot(psi_t, psi_t).real)
@@ -516,7 +517,7 @@ class TestMasterEquationGenerator:
         kappa_j = np.empty(m)
         for j in basis.bonds:
             for sign in (+1, -1):
-                i = basis.reduced_s_index(int(j), sign) - 1
+                i = reduced_s_index(basis, int(j), sign) - 1
                 energy[i] = pair_state_energy(int(j), sign, 1.0, p.delta_over_u) + p.vc_over_u
                 kappa_j[i] = coherence_damping_rate(int(j), sign, p)
         d_tt = -2.0 * s * rho_st.imag.sum()
@@ -625,7 +626,7 @@ class TestKernelProperties:
         for pinned in (None, dt):
             psi = psi0.astype(np.complex128)
             _, run = _schrodinger(op, psi, steps * dt, pinned, 11)
-            runs[pinned] = (np.array([y.copy() for y in run]), run)
+            runs[pinned] = (np.array([y.copy() for y in grid_rows(run)]), run)
         (exact, spectral), (ref, _) = runs[None], runs[dt]
         assume(spectral.backend != "rk4")  # cond(V) above COND_V_LIMIT
         assert spectral.backend == ("eig" if spectral.cond_v else "eigh")
@@ -661,7 +662,7 @@ class TestKernelProperties:
         bound = op.frequency_bound() or 1.0
         dt = 0.01 / bound
         _, samples = _schrodinger(op, psi, steps * dt, dt, 11)
-        energy = np.array([np.vdot(y, op.matvec(y)).real for y in samples])
+        energy = np.array([np.vdot(y, op.matvec(y)).real for y in grid_rows(samples)])
         assert np.max(np.abs(energy - energy[0])) < 1e-8 * bound
 
     @settings(max_examples=20)
@@ -965,7 +966,7 @@ class TestSerialBlas:
         _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
         _, run = _schrodinger(op, psi, 1.0, None, 1000, step)
         assert run.backend == "eig"
-        points = iter(run)
+        points = grid_rows(run)
         for _ in range(SPECTRAL_BLOCK + 10):  # into the second block
             next(points)
             assert get() == 2
@@ -1480,7 +1481,7 @@ class TestStartState:
         op = make_op()
         starts = (np.array([1.0, 0.0]), np.array([1.0 + 0j, 0.0]))
         runs = [_schrodinger(op, start, 1.0, dt, 11)[1] for start in starts]
-        real, cast = (np.array([y.copy() for y in run]) for run in runs)
+        real, cast = (np.array([y.copy() for y in grid_rows(run)]) for run in runs)
         assert runs[0].backend == runs[1].backend == backend
         assert real.dtype == np.complex128
         np.testing.assert_array_equal(real, cast)
@@ -1494,7 +1495,7 @@ class TestStartState:
     def test_pinned_rk4_leaves_the_start_alone(self):
         psi = np.array([0.6, 0.8j])
         _, run = _schrodinger(two_level(1.0), psi, 1.0, 0.01, 11)
-        assert run.backend == "rk4" and len(list(run)) == 11
+        assert run.backend == "rk4" and len(list(grid_rows(run))) == 11
         np.testing.assert_array_equal(psi, [0.6, 0.8j])
         p = measurement_test_params()
         basis = build_basis(5)
@@ -1503,7 +1504,7 @@ class TestStartState:
         y = np.concatenate(([rho.rho_tt], rho.rho_ss, rho.rho_st.real, rho.rho_st.imag))
         before = y.copy()
         _, run = dynamics._propagate(gen, 1.0, y, 1.0, eliminated_model_step(p), 11, max_step)
-        assert run.backend == "rk4" and len(list(run)) == 11
+        assert run.backend == "rk4" and len(list(grid_rows(run))) == 11
         np.testing.assert_array_equal(y, before)
 
     @pytest.mark.parametrize("pinned", [False, True])

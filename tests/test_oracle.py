@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import free_params
+from conftest import free_params, s_index
 from zenoreg.dynamics import DENSE_EIG_CUTOFF, _max_step
 from zenoreg.oracle import (
     build_bose_hubbard,
@@ -104,8 +104,8 @@ class TestExactGroundState:
                 occ_minus = [1] * n
                 occ_minus[site] = 0
                 occ_minus[site + 1] = 2
-                amps[fock.index[tuple(occ_plus)]] = psi.amplitudes[basis.s_index(int(j), +1)]
-                amps[fock.index[tuple(occ_minus)]] = psi.amplitudes[basis.s_index(int(j), -1)]
+                amps[fock.index[tuple(occ_plus)]] = psi.amplitudes[s_index(basis, int(j), +1)]
+                amps[fock.index[tuple(occ_minus)]] = psi.amplitudes[s_index(basis, int(j), -1)]
             h = build_bose_hubbard(fock, p.j_over_u, 1.0, 0.0)
             variational = float(np.vdot(amps, h.matvec(amps)).real / np.vdot(amps, amps).real)
             exact, _ = exact_ground_state(h)
@@ -195,8 +195,8 @@ class TestDoubleOccupancy:
             occ_minus = [1] * n
             occ_minus[pos] = 0
             occ_minus[pos + 1] = 2
-            fock_of_reg[fock.index[tuple(occ_plus)]] = basis.s_index(int(jj), +1)
-            fock_of_reg[fock.index[tuple(occ_minus)]] = basis.s_index(int(jj), -1)
+            fock_of_reg[fock.index[tuple(occ_plus)]] = s_index(basis, int(jj), +1)
+            fock_of_reg[fock.index[tuple(occ_minus)]] = s_index(basis, int(jj), -1)
 
         for fi, ri in fock_of_reg.items():
             for fk, rk in fock_of_reg.items():

@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import free_params
+from conftest import free_params, m_index, reduced_s_index, s_index
 from zenoreg.oracle import build_bose_hubbard, fock_basis
 from zenoreg.register import (
     HERMITIAN_TOL,
@@ -41,11 +41,11 @@ class TestBasis:
 
     def test_index_bijection(self):
         b = build_basis(7)
-        seen = {b.index_t}
+        seen = {0}  # |T>
         for j in b.bonds:
             for sign in (+1, -1):
-                seen.add(b.s_index(int(j), sign))
-                seen.add(b.m_index(int(j), sign))
+                seen.add(s_index(b, int(j), sign))
+                seen.add(m_index(b, int(j), sign))
         assert seen == set(range(b.dimension))
 
     def test_reduced_indices(self):
@@ -53,22 +53,18 @@ class TestBasis:
         reduced = {0}
         for j in b.bonds:
             for sign in (+1, -1):
-                reduced.add(b.reduced_s_index(int(j), sign))
+                reduced.add(reduced_s_index(b, int(j), sign))
         assert reduced == set(range(b.reduced_dimension))
 
     def test_pair_table_matches_scalar_indices(self):
         b = build_basis(7)
         energies = b.pair_energies(0.01)
         for k, (j, sign) in enumerate(zip(b.pair_j.tolist(), b.pair_sign.tolist())):
-            assert b.reduced_s_index(j, sign) == k + 1
-            assert b.s_slots[k] == b.s_index(j, sign)
-            assert b.s_slots[k] + 2 == b.m_index(j, sign)
+            assert reduced_s_index(b, j, sign) == k + 1
+            assert b.s_slots[k] == s_index(b, j, sign)
+            assert b.s_slots[k] + 2 == m_index(b, j, sign)
             assert energies[k] == pair_state_energy(j, sign, 1.0, 0.01)
         assert b.pair_j.size == b.reduced_dimension - 1
-
-    def test_bond_out_of_range(self):
-        with pytest.raises(ModelError):
-            build_basis(5).s_index(2, +1)
 
 
 class TestPairEnergy:
@@ -97,10 +93,10 @@ class TestInteractionHamiltonian:
         for j in b.bonds:
             for sign in (+1, -1):
                 e_s = pair_state_energy(int(j), sign, 1.0, p.delta_over_u)
-                assert h[b.s_index(int(j), sign), b.s_index(int(j), sign)] == pytest.approx(
+                assert h[s_index(b, int(j), sign), s_index(b, int(j), sign)] == pytest.approx(
                     p.vc_over_u + e_s
                 )
-                assert h[b.m_index(int(j), sign), b.m_index(int(j), sign)] == pytest.approx(
+                assert h[m_index(b, int(j), sign), m_index(b, int(j), sign)] == pytest.approx(
                     p.vc_over_u + e_s - 1.0
                 )
 
@@ -162,7 +158,7 @@ class TestFreeHamiltonian:
         h = build_free_hamiltonian(b, reference_params).to_dense()
         for j in b.bonds:
             for sign in (+1, -1):
-                m = b.m_index(int(j), sign)
+                m = m_index(b, int(j), sign)
                 assert np.all(h[m, :] == 0) and np.all(h[:, m] == 0)
 
     def test_symmetric_mode_coupling(self):
@@ -173,7 +169,7 @@ class TestFreeHamiltonian:
         sym = np.zeros(b.dimension)
         for jj in b.bonds:
             for sign in (+1, -1):
-                sym[b.s_index(int(jj), sign)] = 1.0
+                sym[s_index(b, int(jj), sign)] = 1.0
         sym /= np.linalg.norm(sym)
         coupling = np.real(h[0, :] @ sym)
         assert coupling == pytest.approx(-2.0 * math.sqrt(n - 1) * j, rel=1e-12)
@@ -191,8 +187,8 @@ class TestFreeHamiltonian:
         perm = np.arange(b.dimension)
         for j in b.bonds:
             for sign in (+1, -1):
-                perm[b.s_index(int(j), sign)] = b.s_index(int(-1 - j), -sign)
-                perm[b.m_index(int(j), sign)] = b.m_index(int(-1 - j), -sign)
+                perm[s_index(b, int(j), sign)] = s_index(b, int(-1 - j), -sign)
+                perm[m_index(b, int(j), sign)] = m_index(b, int(-1 - j), -sign)
         assert np.allclose(h, h[np.ix_(perm, perm)], atol=1e-15)
 
 
@@ -217,7 +213,7 @@ class TestEliminatedHamiltonian:
         assert dense[0, 0] == 0.0
         for j in b.bonds:
             for sign in (+1, -1):
-                s = b.reduced_s_index(int(j), sign)
+                s = reduced_s_index(b, int(j), sign)
                 expected = p.vc_over_u + pair_state_energy(int(j), sign, 1.0, p.delta_over_u)
                 assert dense[s, s] == pytest.approx(expected)
 
@@ -274,7 +270,7 @@ class TestFidelity:
     def test_pure_defect(self):
         b = build_basis(3)
         amps = np.zeros(b.dimension, dtype=complex)
-        amps[b.s_index(0, +1)] = 1.0
+        amps[s_index(b, 0, +1)] = 1.0
         assert fidelity(StateVector(b, amps)) == 0.0
 
     def test_renormalizes(self):
@@ -308,9 +304,9 @@ class TestStateVector:
         assert projected[0] == full.amplitudes[0] and embedded[0] == red.amplitudes[0]
         for j in b.bonds.tolist():
             for sign in (+1, -1):
-                assert projected[b.reduced_s_index(j, sign)] == full.amplitudes[b.s_index(j, sign)]
-                assert embedded[b.s_index(j, sign)] == red.amplitudes[b.reduced_s_index(j, sign)]
-                assert embedded[b.m_index(j, sign)] == 0
+                assert projected[reduced_s_index(b, j, sign)] == full.amplitudes[s_index(b, j, sign)]
+                assert embedded[s_index(b, j, sign)] == red.amplitudes[reduced_s_index(b, j, sign)]
+                assert embedded[m_index(b, j, sign)] == 0
 
     def test_nonfinite_rejected(self):
         b = build_basis(3)

@@ -6,6 +6,7 @@ each CSV entry, and the scalar axis maps and two-decimal format written out
 below for each polyline point.
 """
 
+import math
 import re
 
 import numpy as np
@@ -101,8 +102,8 @@ def plot_bounds(series):
     x_max = max(float(xs.max()) for _, xs, _ in series)
     y_min = min(float(ys.min()) for _, _, ys in series)
     y_max = max(float(ys.max()) for _, _, ys in series)
-    if x_max == x_min:
-        x_max = x_min + 1.0
+    if x_max == x_min:  # at |x| >= 2**53, where 1.0 may round away, one ulp
+        x_max = max(x_min + 1.0, math.nextafter(x_min, math.inf))
     if y_max == y_min:
         pad = abs(y_min) * 0.05 or 0.5
         y_min, y_max = y_min - pad, y_max + pad
@@ -128,13 +129,13 @@ def plot_series(draw):
 class TestEmitSvg:
     @settings(max_examples=200, deadline=None)
     @given(series=plot_series())
+    @pytest.mark.filterwarnings("error")
     def test_polylines_match_the_scalar_rule(self, tmp_path_factory, series):
-        # a flat x at |x| >= 2**53 gets x_max = x_min + 1.0 = x_min, so both
-        # rules give nan there; they must still agree
+        # a flat x at |x| >= 2**53, where x_min + 1.0 rounds back to x_min,
+        # is widened by one ulp, so neither rule divides 0 by 0
         path = tmp_path_factory.mktemp("svg") / "x.svg"
-        with np.errstate(invalid="ignore"):
-            emit_svg(path, series)
-            expected = [scalar_points(xs, ys, plot_bounds(series)) for _, xs, ys in series]
+        emit_svg(path, series)
+        expected = [scalar_points(xs, ys, plot_bounds(series)) for _, xs, ys in series]
         assert re.findall(r'<polyline [^>]* points="([^"]*)"/>', path.read_text()) == expected
 
     def test_grid_of_a_trajectory(self, tmp_path):
