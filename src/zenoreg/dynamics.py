@@ -27,11 +27,13 @@ integrated Bloch system and the closed form agree exactly.
 Every level is a linear system dy/dt = G y with a constant generator G, and
 every one returns the same grid, linspace(0, t_end, max_samples), laid out
 by ``_plan_grid``, the one place a step is checked.  One backend chooser,
-``_propagate``, serves G = -i H (the wavefunction, the jump ensemble's
-conditioned state and the exact oracle) and the real generators of the
-master equation (``_rme_generator``) and the Bloch system: a given step
-pins the fixed-step RK4 kernel ``_rk4``, the reference; without one, a G of
-dimension up to DENSE_EIG_CUTOFF is diagonalised once and the samples are
+``_propagate``, is the only entry of G = -i H (the wavefunction, the jump
+ensemble's conditioned state and the exact oracle) and of the real
+generators of the master equation (``_rme_generator``) and the Bloch
+system.  It reads the RK4 step bound off G, 0.05 / (max |diag| + max
+off-diagonal row sum) (``_max_step``), one rule for every level.  A given
+step pins the fixed-step RK4 kernel ``_rk4``, the reference; without one, a
+G of dimension up to DENSE_EIG_CUTOFF is diagonalised once and the samples are
 rebuilt exactly (``_spectral``), unless its eigenvectors are ill
 conditioned, and a larger G runs RK4.  The Bloch system is never pinned.
 A real Hermitian H is diagonalised in real arithmetic.  A complex
@@ -163,8 +165,9 @@ def eliminated_model_step(p: DerivedParams) -> float:
 def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
     """Step count, sample stride, step and uniform output grid.
 
-    Refuses non-finite or non-positive times, a step above ``max_step`` and
-    a ratio t_end / dt too large to count.
+    Refuses non-finite or non-positive times, a subnormal t_end (1 / t_end
+    may overflow), a step above ``max_step`` (named in full, so the bound
+    named is accepted) and a ratio t_end / dt too large to count.
     The grid is linspace(0, t_end, max_samples), with ``max_samples``
     clamped to 2..MAX_OUTPUT_SAMPLES, and depends on nothing else.  The
     step count is rounded up to a whole number of steps a gap, at least
@@ -174,8 +177,10 @@ def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
         raise IntegrationError(
             f"t_end and dt must be positive and finite (t_end = {t_end:g}, dt = {dt:g})"
         )
+    if t_end < np.finfo(float).tiny:
+        raise IntegrationError(f"t_end = {t_end:g} is too small to resolve; require t_end >= {np.finfo(float).tiny}")
     if dt > max_step * (1.0 + 1e-12):
-        raise IntegrationError(f"dt = {dt:.6g} too large; require dt <= {max_step:.6g}")
+        raise IntegrationError(f"dt = {dt:.6g} too large; require dt <= {max_step}")
     steps = t_end / dt
     if not math.isfinite(steps):
         raise IntegrationError(f"t_end / dt overflows (t_end = {t_end:g}, dt = {dt:g})")
@@ -653,11 +658,10 @@ def _propagate(
     t_end: float,
     dt: float | None,
     max_samples: int,
-    max_step: float,
     default_dt: float | None = None,
 ):
     """Output grid and sample propagation of dy/dt = scale M y from ``y``,
-    the one backend chooser of every level.
+    the one backend chooser and the only entry of every level.
 
     M = ``op``; scale -1j makes it i dpsi/dt = H psi, and a real M with
     scale 1 a real generator (the master equation, the Bloch system).
@@ -666,9 +670,9 @@ def _propagate(
     A given ``dt`` selects RK4, the reference.  Without it an operator of
     dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
     cond(V) refuses; a larger one, or a refused one, runs RK4 at
-    ``default_dt`` capped at ``max_step`` (t_end when both are None or
-    infinite).  Either way the step is checked against ``max_step`` by
-    ``_plan_grid``, so only a given ``dt`` can be refused there, and the
+    ``default_dt`` capped at M's bound ``_max_step(op)`` (t_end when both
+    are None or infinite).  Either way ``_plan_grid`` checks the step
+    against that bound, so only a given ``dt`` can be refused there, and the
     samples land on the same grid.  RK4 advances a copy of ``y`` in place,
     and a run of more than MAX_RK4_STEPS steps is refused before it starts.
     """
@@ -679,6 +683,7 @@ def _propagate(
     if y.shape != (op.dim,) or bad:
         raise IntegrationError(f"the start state must be {op.dim} finite numbers (shape {y.shape}, {bad} not finite)")
     y = y.astype(np.result_type(op.vals, scale, y))
+    max_step = _max_step(op)
     step = dt
     if step is None:
         step = min(max_step, math.inf if default_dt is None else default_dt)
@@ -695,18 +700,6 @@ def _propagate(
             f"at most {MAX_RK4_STEPS:.0e} are run"
         )
     return t, Propagation(_rk4(op.matrix * scale, y, h, n_steps), h, stride)
-
-
-def _schrodinger(
-    op: SparseOperator,
-    psi: np.ndarray,
-    t_end: float,
-    dt: float | None,
-    max_samples: int,
-    default_dt: float | None = None,
-):
-    """``_propagate`` for i dpsi/dt = H psi, H = ``op``, with its largest accepted step."""
-    return _propagate(op, -1j, psi, t_end, dt, max_samples, _max_step(op), default_dt)
 
 
 def _conditioned_population(c_t: np.ndarray, norm_sq: np.ndarray) -> np.ndarray:
@@ -756,7 +749,7 @@ def evolve(
     linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else psi0
-    t, run = _schrodinger(op, amps0, t_end, dt, max_samples, default_dt)
+    t, run = _propagate(op, -1j, amps0, t_end, dt, max_samples, default_dt)
     norm, c_t = np.empty(t.size), np.empty(t.size, dtype=np.complex128)
     # a spectral run's columns B = Q R give c_T = B[0] p and ||psi|| = ||R p||
     readout, skip = None, 0
@@ -1020,7 +1013,7 @@ def jump_ensemble(
         raise ValueError(f"seed must be >= 0, got {seed}")
     model, op, psi, step, _ = _conditioned_problem(p, n, model)
     # the very run, and so the very samples, of ``null_trajectory``
-    t, run = _schrodinger(op, psi, t_end, dt, max_samples, step)
+    t, run = _propagate(op, -1j, psi, t_end, dt, max_samples, step)
     thresholds = _threshold_draws(seed, n_traj)
     # The first point with ||psi||^2 <= r is the first whose running minimum
     # is <= r, and the running minimum falls even where the last bit of the
@@ -1132,19 +1125,19 @@ class RMESeries(_Diagnosed):
 
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
     """Real (float64) generator G of ``reduced_master_equation`` on
-    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST], and its largest accepted step.
-    Zero entries (J = 0, kappa = 0, a zero rate or energy) are left out."""
+    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST]; ``_propagate`` reads its RK4
+    step bound off G, as every level's.  Zero entries (J = 0, kappa = 0, a
+    zero rate or energy) are left out."""
     m = 2 * basis.n_bonds
     e_plus_vc = basis.pair_energies(p.delta_over_u) + p.vc_over_u
     kap_coh = coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
-    two_kappa = 2.0 * p.kappa_over_u
     sqrt2j = math.sqrt(2.0) * p.j_over_u
 
     tt, ss = 0, 1 + np.arange(m)
     re, im = ss + m, ss + 2 * m
     blocks = [  # row, column, value; one entry per pair state
         (tt, im, -2.0 * sqrt2j),
-        (ss, ss, -two_kappa),
+        (ss, ss, -2.0 * p.kappa_over_u),
         (ss, im, 2.0 * sqrt2j),
         (re, re, -kap_coh),
         (re, im, e_plus_vc),
@@ -1155,10 +1148,7 @@ def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
     ]
     rows, cols, vals = (np.concatenate([np.broadcast_to(b[i], (m,)) for b in blocks]) for i in range(3))
     keep = vals != 0
-    gen = SparseOperator._canonical(1 + 3 * m, rows[keep], cols[keep], vals[keep])
-    # frequency scale for the step refusal: fastest rotation + damping
-    omega_max = float(np.max(e_plus_vc) + np.max(kap_coh) + two_kappa + 4.0 * sqrt2j)
-    return gen, 0.05 / omega_max
+    return SparseOperator._canonical(1 + 3 * m, rows[keep], cols[keep], vals[keep])
 
 
 def reduced_master_equation(
@@ -1192,9 +1182,9 @@ def reduced_master_equation(
     m = 2 * basis.n_bonds
     if rho0.rho_ss.shape != (m,) or rho0.rho_st.shape != (m,):
         raise IntegrationError("initial state does not match the register size")
-    gen, max_step = _rme_generator(p, basis)
+    gen = _rme_generator(p, basis)
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
-    t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, max_step, eliminated_model_step(p))
+    t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, eliminated_model_step(p))
     out_tt, out_ss = np.empty(t.size), np.empty(t.size)
     for at, rows in run.grid_blocks():
         out_tt[at] = rows[:, 0]
@@ -1281,7 +1271,7 @@ def bloch_evolution(
     )
     rows, cols = np.nonzero(gen)  # J = 0 or kappa = 0 leaves entries out
     op = SparseOperator._canonical(4, rows, cols, gen[rows, cols])
-    t, run = _propagate(op, 1.0, [b0.u, b0.v, b0.w, b0.x], t_end, None, max_samples, _max_step(op))
+    t, run = _propagate(op, 1.0, [b0.u, b0.v, b0.w, b0.x], t_end, None, max_samples)
     out = np.concatenate([rows.copy() for _, rows in run.grid_blocks()])
     return BlochSeries(t, *out.T, **run.diagnostics())
 

@@ -23,7 +23,7 @@ from .dynamics import (
     MAX_OUTPUT_SAMPLES,
     TrajectorySeries,
     _dense_eigh,
-    _schrodinger,
+    _propagate,
 )
 from .register import ModelError, SparseOperator
 
@@ -202,7 +202,7 @@ def exact_evolve_fidelity(
     target = basis.unit_filled_index
     psi = np.zeros(basis.dimension)
     psi[target] = 1.0
-    t, run = _schrodinger(op, psi, t_end, dt, max_samples)
+    t, run = _propagate(op, -1j, psi, t_end, dt, max_samples)
     fid, norm, energy = np.empty(t.size), np.empty(t.size), np.empty(t.size)
     for at, rows in run.grid_blocks():
         norm[at] = np.vecdot(rows, rows).real

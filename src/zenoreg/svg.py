@@ -48,9 +48,11 @@ def emit_svg(path, series, x_label: str = "", y_label: str = "", title: str = ""
     y_max = max(float(ys.max()) for _, _, ys in cleaned)
     if x_max == x_min:  # at |x| >= 2**53, where 1.0 may round away, one ulp
         x_max = max(x_min + 1.0, math.nextafter(x_min, math.inf))
-    if y_max == y_min:
+        if math.isinf(x_max):  # at the largest float, one ulp below it
+            x_min, x_max = math.nextafter(x_min, -math.inf), x_min
+    if y_max == y_min:  # padded, an overflow clamped to the largest float
         pad = abs(y_min) * 0.05 or 0.5
-        y_min, y_max = y_min - pad, y_max + pad
+        y_min, y_max = np.nan_to_num([y_min - pad, y_max + pad]).tolist()
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

@@ -23,9 +23,9 @@ from zenoreg.dynamics import (
     evolve,
     reduced_master_equation,
     _conditioned_problem,
+    _max_step,
     _propagate,
     _rme_generator,
-    _schrodinger,
 )
 from zenoreg.register import BrightSector, build_basis, build_free_hamiltonian
 from test_dynamics import blas_threads, record_threads  # noqa: F401 (a fixture)
@@ -36,7 +36,7 @@ def pinned_run(n_samples=300):
     third of the grid's gap, and its grid."""
     _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
     t_end = 3.0 * step * (n_samples - 1)
-    return _schrodinger(op, psi, t_end, step, n_samples, step)
+    return _propagate(op, -1j, psi, t_end, step, n_samples, step)
 
 
 class TestPinnedRk4Blocks:
@@ -53,10 +53,10 @@ class TestPinnedRk4Blocks:
     def test_real_runs_stay_real(self):
         p = measurement_test_params(5)
         basis = build_basis(5)
-        gen, max_step = _rme_generator(p, basis)
+        gen = _rme_generator(p, basis)
         y = np.zeros(gen.dim)
         y[0] = 1.0
-        t, run = _propagate(gen, 1.0, y, 1.0, 0.5 * max_step, 150, max_step)
+        t, run = _propagate(gen, 1.0, y, 1.0, 0.5 * _max_step(gen), 150)
         assert run.backend == "rk4" and run.stride > 1
         blocks = [block.copy() for _, block in run.grid_blocks()]
         assert all(block.dtype == np.float64 for block in blocks)
@@ -85,9 +85,9 @@ class TestNegativityStop:
         rho_st = np.zeros(m, dtype=np.complex128)
         rho_st[0] = -1e-3j
         rho0 = ReducedDensityState(0.0, np.zeros(m), rho_st)
-        gen, max_step = _rme_generator(p, basis)
+        gen = _rme_generator(p, basis)
         y = np.concatenate(([0.0], rho0.rho_ss, rho_st.real, rho_st.imag))
-        t, run = _propagate(gen, 1.0, y, 0.05, dt, 400, max_step, eliminated_model_step(p))
+        t, run = _propagate(gen, 1.0, y, 0.05, dt, 400, eliminated_model_step(p))
         first = next(i for i, y in enumerate(grid_rows(run)) if y[0] < -1e-6 or y[1 : 1 + m].min() < -1e-6)
         assert first > SPECTRAL_BLOCK and first % SPECTRAL_BLOCK not in (0, SPECTRAL_BLOCK - 1)
         with pytest.raises(IntegrationError, match=f"population went negative at t = {t[first]:.6g}$"):
@@ -134,7 +134,7 @@ class TestProjectedEvolve:
         recorded, population = [], dynamics._conditioned_population
         monkeypatch.setattr(dynamics, "_conditioned_population", lambda c_t, norm: recorded.append(c_t) or population(c_t, norm))
         series = evolve(op, psi, t_end, default_dt=step)
-        _, run = _schrodinger(op, psi, t_end, None, series.t.size, step)
+        _, run = _propagate(op, -1j, psi, t_end, None, series.t.size, step)
         assert series.backend == run.backend == backend and run.columns.shape[1] < op.dim
         rows = np.array([y.copy() for y in grid_rows(run)])
         assert np.max(np.abs(series.norm_sq - np.vecdot(rows, rows).real)) <= 1e-13

@@ -385,6 +385,45 @@ class TestIntegrationErrorExitCode:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
 
+    @pytest.mark.parametrize(
+        "args", [["trajectory", "--n", "5"], ["ensemble", "--n", "5"], ["nonselective", "--n", "5"], ["free", "--n", "5"], ["oracle", "--atoms", "3"]]
+    )
+    def test_unresolvable_t_end_exits_2(self, runner, tmp_path, args):
+        # 1 / t_end overflows: the subnormal t_end is refused by value
+        # before anything is written, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args + ["--t-end", "1e-310", "--out", str(tmp_path / "o")])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "t_end = 1e-310 is too small to resolve" in result.output
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["trajectory", "--n", "7", "--model", "eliminated"],
+            ["trajectory", "--n", "11", "--model", "eliminated"],
+            ["trajectory", "--n", "51", "--model", "eliminated"],
+            ["trajectory", "--n", "7", "--model", "full"],
+            ["nonselective", "--n", "7"],
+            ["nonselective", "--n", "11"],
+            ["nonselective", "--n", "21"],
+            ["nonselective", "--n", "51"],
+            ["ensemble", "--n", "5", "--traj", "16"],
+            ["free", "--n", "5"],
+            ["oracle", "--atoms", "3"],
+        ],
+    )
+    def test_refusal_names_an_accepted_bound(self, runner, tmp_path, args):
+        # the bound is printed to round-trip, so rerunning at it is accepted
+        args = args + ["--t-end", "0.01", "--out", str(tmp_path / "o")]
+        refused = runner.invoke(main, args + ["--dt", "1"])
+        assert refused.exit_code == 2, refused.output
+        bound = refused.output.strip().rpartition("require dt <= ")[2]
+        result = runner.invoke(main, args + ["--dt", bound])
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize("delta", ["1e308", "-1e308"])
     def test_overflowing_trap_scale_exits_2(self, runner, tmp_path, delta):
         # the trap energy delta j^2 overflows: refused by name, with no
@@ -797,6 +836,29 @@ class TestPlot:
         assert result.exit_code == 0, result.output
         svg = open(f"{out}.svg").read()
         assert "nan" not in svg and f'points="{points}"' in svg
+
+    @pytest.mark.parametrize(
+        "rows, points, ticks",
+        [
+            ("0,-1.75e308\n1,-1.75e308\n", "80.00,363.61 770.00,363.61", ">-1.79769e+308<"),
+            ("0,1.75e308\n1,1.75e308\n", "80.00,216.39 770.00,216.39", ">1.79769e+308<"),
+            ("1.7976931348623157e308,0\n1.7976931348623157e308,1\n", "770.00,540.00 770.00,40.00", ">1.79769e+308<"),
+        ],
+        ids=["flat y at -1.75e308", "flat y at 1.75e308", "flat x at the largest float"],
+    )
+    def test_widened_bounds_stay_finite(self, runner, tmp_path, rows, points, ticks):
+        # the padded or widened bound would overflow; it is clamped to the
+        # largest float, or the span widened one ulp downward
+        csv = tmp_path / "data.csv"
+        csv.write_text("t,a\n" + rows)
+        out = tmp_path / "fig"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["plot", "--in", str(csv), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        svg = open(f"{out}.svg").read()
+        assert "nan" not in svg and "inf" not in svg
+        assert f'points="{points}"' in svg and ticks in svg
 
     def test_nonfinite_rejected_with_index(self, tmp_path):
         with pytest.raises(SvgError, match="index 1"):

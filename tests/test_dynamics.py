@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -37,13 +38,13 @@ from zenoreg.dynamics import (
     _compress,
     _max_step,
     _plan_grid,
+    _propagate,
     _rk4,
     _rme_generator,
-    _schrodinger,
     _spectral,
     _threshold_draws,
 )
-from zenoreg.oracle import exact_ground_state
+from zenoreg.oracle import build_bose_hubbard, exact_evolve_fidelity, exact_ground_state, fock_basis
 from zenoreg.register import (
     BrightSector,
     ModelError,
@@ -197,6 +198,57 @@ class TestOneGrid:
         }
         for name, series in levels.items():
             assert np.array_equal(series.t, grid), name
+
+
+def pinned_level(name: str):
+    """The generator G that the level ``name`` runs at n = 5 (3 atoms for the
+    oracle), and that level run for four RK4 steps of a given dt."""
+    p = measurement_test_params(5)
+    level, _, model = name.partition(" ")
+    if level == "reduced_master_equation":
+        return _rme_generator(p, build_basis(5)), lambda dt: reduced_master_equation(p, 5, t_end=4 * dt, dt=dt, max_samples=3)
+    if level == "exact_evolve_fidelity":
+        basis = fock_basis(3, 3)
+        return build_bose_hubbard(basis, 0.1, 1.0, 1e-3), lambda dt: exact_evolve_fidelity(basis, 0.1, 1.0, 1e-3, 4 * dt, dt, 3)
+    _, op, psi, _, _ = _conditioned_problem(p, 5, model)
+    runs = {
+        "null_trajectory": lambda dt: null_trajectory(p, 5, 4 * dt, model, dt, 3),
+        "evolve": lambda dt: evolve(op, psi, 4 * dt, dt, 3),
+        "jump_ensemble": lambda dt: jump_ensemble(p, 5, 8, 0, 4 * dt, model, dt, 3),
+    }
+    return op, runs[level]
+
+
+class TestOneStepBound:
+    # every pinnable level accepts dt = _max_step(G) of the generator G it
+    # runs and refuses any larger step, naming that very bound
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "null_trajectory eliminated",
+            "null_trajectory full",
+            "evolve eliminated",
+            "evolve full",
+            "jump_ensemble eliminated",
+            "jump_ensemble full",
+            "reduced_master_equation",
+            "exact_evolve_fidelity",
+        ],
+    )
+    def test_accepts_the_bound_and_refuses_above_it(self, name):
+        gen, run = pinned_level(name)
+        bound = _max_step(gen)
+        assert run(bound).backend == "rk4"
+        with pytest.raises(IntegrationError, match=f"require dt <= {re.escape(str(bound))}$"):
+            run(bound * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("t_end", [1e-310, 5e-324, np.finfo(float).tiny * (1.0 - EPS)])
+    def test_unresolvable_t_end_refused(self, t_end):
+        # a subnormal t_end, whose reciprocal may overflow, is refused; the
+        # smallest normal one runs
+        with pytest.raises(IntegrationError, match=f"t_end = {t_end:g} is too small to resolve"):
+            evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=t_end)
+        assert evolve(two_level(1.0), np.array([1.0, 0.0]), t_end=np.finfo(float).tiny).backend == "eigh"
 
 
 class TestJumpEnsemble:
@@ -508,7 +560,7 @@ class TestMasterEquationGenerator:
         # distinct pair energies, so a misplaced pair-state entry shows
         p = replace(measurement_test_params(n), delta_over_u=0.01)
         basis = build_basis(n)
-        gen, _ = _rme_generator(p, basis)
+        gen = _rme_generator(p, basis)
         m = 2 * (n - 1)
         y = np.random.default_rng(n).standard_normal(1 + 3 * m)
         rho_tt, rho_ss, rho_st = y[0], y[1 : 1 + m], y[1 + m : 1 + 2 * m] + 1j * y[1 + 2 * m :]
@@ -534,7 +586,7 @@ class TestMasterEquationGenerator:
     def test_matches_block_assembly(self, n, delta, zeroed):
         # the same entries as the block assembly, zero entries left out alike
         p = replace(measurement_test_params(n), delta_over_u=delta, **dict.fromkeys(zeroed, 0.0))
-        gen, _ = _rme_generator(p, build_basis(n))
+        gen = _rme_generator(p, build_basis(n))
         ref = block_generator(p, build_basis(n))
         assert gen.vals.dtype == np.float64
         assert gen.nnz == ref.nnz
@@ -549,7 +601,7 @@ class TestMasterEquationGenerator:
         basis = build_basis(n)
         rho0 = ground_reduced_density(basis, p)
         y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
-        _, max_step = _rme_generator(p, basis)
+        max_step = _max_step(_rme_generator(p, basis))
         _, stride, h, t = _plan_grid(t_end, dt, max_step, samples)
         m = 2 * (n - 1)
         ref = np.array([(y[0], y[1 : 1 + m].sum()) for y in itertools.islice(_rk4(block_generator(p, basis), y, h, (t.size - 1) * stride), 0, None, stride)])
@@ -625,7 +677,7 @@ class TestKernelProperties:
         runs = {}
         for pinned in (None, dt):
             psi = psi0.astype(np.complex128)
-            _, run = _schrodinger(op, psi, steps * dt, pinned, 11)
+            _, run = _propagate(op, -1j, psi, steps * dt, pinned, 11)
             runs[pinned] = (np.array([y.copy() for y in grid_rows(run)]), run)
         (exact, spectral), (ref, _) = runs[None], runs[dt]
         assume(spectral.backend != "rk4")  # cond(V) above COND_V_LIMIT
@@ -661,7 +713,7 @@ class TestKernelProperties:
         op, psi = problem
         bound = op.frequency_bound() or 1.0
         dt = 0.01 / bound
-        _, samples = _schrodinger(op, psi, steps * dt, dt, 11)
+        _, samples = _propagate(op, -1j, psi, steps * dt, dt, 11)
         energy = np.array([np.vdot(y, op.matvec(y)).real for y in grid_rows(samples)])
         assert np.max(np.abs(energy - energy[0])) < 1e-8 * bound
 
@@ -805,7 +857,7 @@ class TestSpectralEnsemble:
         p = measurement_test_params()
         ens = jump_ensemble(p, 5, n_traj=n_traj, seed=seed, t_end=t_end, model="full", max_samples=11)
         _, op, psi, step, _ = _conditioned_problem(p, 5, "full")
-        _, run = _schrodinger(op, psi, t_end, None, 11, step)
+        _, run = _propagate(op, -1j, psi, t_end, None, 11, step)
 
         def norm(times):
             return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
@@ -840,7 +892,7 @@ class TestSpectralEnsemble:
         kwargs = dict(n_traj=20_000, seed=7, t_end=30.0, model="eliminated")
         ens = jump_ensemble(reference_params, n, **kwargs)
         _, op, psi, step, _ = _conditioned_problem(reference_params, n, "eliminated")
-        _, run = _schrodinger(op, psi, 30.0, None, 501, step)
+        _, run = _propagate(op, -1j, psi, 30.0, None, 501, step)
 
         def norm(times):
             return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
@@ -884,7 +936,7 @@ class TestSpectralMasterEquation:
 
     def test_register_scale_stays_on_rk4(self, reference_params):
         # dim 3001 > DENSE_EIG_CUTOFF: the CLI's default nonselective run
-        gen, _ = _rme_generator(reference_params, build_basis(501))
+        gen = _rme_generator(reference_params, build_basis(501))
         assert gen.shape[0] > DENSE_EIG_CUTOFF
         series = reduced_master_equation(reference_params, 501, t_end=0.01, max_samples=3)
         assert series.backend == "rk4"
@@ -964,7 +1016,7 @@ class TestSerialBlas:
     def test_count_restored_between_samples_and_after_a_dropped_run(self, blas_threads):
         get, _ = blas_threads
         _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
-        _, run = _schrodinger(op, psi, 1.0, None, 1000, step)
+        _, run = _propagate(op, -1j, psi, 1.0, None, 1000, step)
         assert run.backend == "eig"
         points = grid_rows(run)
         for _ in range(SPECTRAL_BLOCK + 10):  # into the second block
@@ -1016,7 +1068,7 @@ class TestGridRebuild:
         else:
             p = measurement_test_params(21)
             basis = build_basis(21)
-            op, _ = _rme_generator(p, basis)
+            op = _rme_generator(p, basis)
             rho = ground_reduced_density(basis, p)
             y = np.concatenate(([rho.rho_tt], rho.rho_ss, rho.rho_st.real, rho.rho_st.imag))
             scale, t_end = 1.0, 10.0
@@ -1099,10 +1151,10 @@ class TestBackendChoice:
         # no cost model: a run of a few steps goes spectral as a long one does
         _, op, psi, step, _ = _conditioned_problem(reference_params, 5, "eliminated")
         assert _plan_grid(n_steps * step, step, _max_step(op), 2)[0] == n_steps
-        _, run = _schrodinger(op, psi, n_steps * step, None, 2, step)
+        _, run = _propagate(op, -1j, psi, n_steps * step, None, 2, step)
         assert run.backend == "eig"
         h = two_level(1.0)
-        _, run = _schrodinger(h, np.array([1.0, 0.0], dtype=complex), n_steps * _max_step(h), None, 2)
+        _, run = _propagate(h, -1j, np.array([1.0, 0.0], dtype=complex), n_steps * _max_step(h), None, 2)
         assert run.backend == "eigh"
 
     def test_operator_above_the_cap_runs_rk4(self, reference_params, monkeypatch):
@@ -1480,7 +1532,7 @@ class TestStartState:
     def test_real_start_runs_as_its_complex_cast(self, make_op, dt, backend):
         op = make_op()
         starts = (np.array([1.0, 0.0]), np.array([1.0 + 0j, 0.0]))
-        runs = [_schrodinger(op, start, 1.0, dt, 11)[1] for start in starts]
+        runs = [_propagate(op, -1j, start, 1.0, dt, 11)[1] for start in starts]
         real, cast = (np.array([y.copy() for y in grid_rows(run)]) for run in runs)
         assert runs[0].backend == runs[1].backend == backend
         assert real.dtype == np.complex128
@@ -1494,16 +1546,16 @@ class TestStartState:
 
     def test_pinned_rk4_leaves_the_start_alone(self):
         psi = np.array([0.6, 0.8j])
-        _, run = _schrodinger(two_level(1.0), psi, 1.0, 0.01, 11)
+        _, run = _propagate(two_level(1.0), -1j, psi, 1.0, 0.01, 11)
         assert run.backend == "rk4" and len(list(grid_rows(run))) == 11
         np.testing.assert_array_equal(psi, [0.6, 0.8j])
         p = measurement_test_params()
         basis = build_basis(5)
-        gen, max_step = _rme_generator(p, basis)
+        gen = _rme_generator(p, basis)
         rho = ground_reduced_density(basis, p)
         y = np.concatenate(([rho.rho_tt], rho.rho_ss, rho.rho_st.real, rho.rho_st.imag))
         before = y.copy()
-        _, run = dynamics._propagate(gen, 1.0, y, 1.0, eliminated_model_step(p), 11, max_step)
+        _, run = dynamics._propagate(gen, 1.0, y, 1.0, eliminated_model_step(p), 11)
         assert run.backend == "rk4" and len(list(grid_rows(run))) == 11
         np.testing.assert_array_equal(y, before)
 
