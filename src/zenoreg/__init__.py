@@ -5,6 +5,47 @@ continuous pair measurement, closed-form fidelity laws, and an exact
 Bose-Hubbard oracle for small lattices.
 """
 
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+# Any of these set means the process chose its BLAS thread count itself.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _bundled_openblas(numpy_dir: Path) -> list[Path]:
+    """The OpenBLAS files bundled with the numpy package at ``numpy_dir``
+    (in ``numpy.libs`` beside it, or ``numpy/.dylibs``), in name order."""
+    return sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")])
+
+
+def _import_numpy_on_one_thread() -> bool:
+    """Import numpy with its bundled OpenBLAS started on one thread, and say
+    whether that was done.
+
+    OpenBLAS starts a thread per processor when it loads, and an idle one
+    busy-waits; ``dynamics._serial_blas`` raises the count only for dense
+    work above SERIAL_BLAS_DIM.  OPENBLAS_NUM_THREADS is set for the load
+    alone, so child processes do not inherit it.  A process that imported
+    numpy first, set any of _BLAS_THREAD_VARS or has no bundled OpenBLAS (MKL,
+    a distribution's numpy) is left as it is.
+    """
+    if "numpy" in sys.modules or any(var in os.environ for var in _BLAS_THREAD_VARS):
+        return False
+    spec = importlib.util.find_spec("numpy")
+    if spec is None or spec.origin is None or not _bundled_openblas(Path(spec.origin).parent):
+        return False
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+    return True
+
+
+_numpy_on_one_thread = _import_numpy_on_one_thread()
+
 from .analytics import (
     PreparationStats,
     free_evolution_fidelity,

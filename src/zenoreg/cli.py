@@ -369,6 +369,25 @@ def oracle(run, dt, atoms, boundary, delta_over_u, t_end):
     run.emit(exact.t, columns, extra)
 
 
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header names and data rows of a CSV to plot; blank lines are skipped.
+    One with fewer than two columns, no data rows or a row of another length
+    than the header is refused, and numpy names a value that is not a
+    number."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [(line, text.strip().split(",")) for line, text in enumerate(fh, start=2) if text.strip()]
+    if len(header) < 2:
+        raise SvgError("CSV must carry a header row and at least two columns")
+    if not rows:
+        raise SvgError(f"CSV has a header row of {len(header)} names but no data rows")
+    for line, values in rows:
+        if len(values) != len(header):
+            count = f"{len(values)} value" + "s" * (len(values) != 1)
+            raise SvgError(f"CSV line {line} has {count}, but the header names {len(header)} columns")
+    return header, np.array([values for _, values in rows], dtype=np.float64)
+
+
 @_command("zenoreg_plot")
 @click.option("--in", "input", required=True, type=click.Path(exists=True), help="input CSV")
 @click.option("--x-label", default="", help="x axis label (defaults to first column name)")
@@ -376,11 +395,7 @@ def oracle(run, dt, atoms, boundary, delta_over_u, t_end):
 @click.option("--title", default="", help="plot title")
 def plot(run, input, x_label, y_label, title):
     """Render a CSV time series (first column = x) as an SVG line plot."""
-    with open(input, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-    data = np.loadtxt(input, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header) or len(header) < 2:
-        raise SvgError("CSV must carry a header row and at least two columns")
+    header, data = _read_csv(input)
     x = data[:, 0]
     series = [(name, x, data[:, i + 1]) for i, name in enumerate(header[1:])]
     svg_path = f"{run.out}.svg"

@@ -58,12 +58,16 @@ cond(B) eps, not the Gram form's cond(B)^2 eps) and forms psi only at t_end.
 The jump ensemble reads one rule off either run; only a jump time is read
 per backend, an RK4 step time or, on the exact curve, a root bisected on
 the closed-form norm.
+The package loads numpy's bundled OpenBLAS on one thread, unless numpy was
+imported first or a BLAS thread variable is set, and the count is raised
+only for dense work above dimension SERIAL_BLAS_DIM (``_serial_blas``).
 The spectral backend's dense work (the diagonalisation, V^-1, the
 rebuild's Taylor columns and block products) and the oracle's dense eigh
-run on one BLAS thread up to dimension SERIAL_BLAS_DIM (``_serial_blas``):
-there a second OpenBLAS thread saves little wall time, doubles the CPU time
-and makes concurrent runs fight over the cores.  Larger operators keep their threads, but for the secular
-solve, which is matrix-vector work and runs on one thread at every size.
+run on one thread up to that size: there a second OpenBLAS thread saves
+little wall time, doubles the CPU time and makes concurrent runs fight over
+the cores, and an idle one busy-waits.  Larger operators get every
+processor, but for the secular solve, which is matrix-vector work and runs
+on one thread at every size.
 The conditioned wavefunction and the jump ensemble start from the
 perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout; the CLI's free
@@ -88,6 +92,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _bundled_openblas, _numpy_on_one_thread
 from .params import DerivedParams
 from .register import (
     BrightSector,
@@ -128,10 +133,11 @@ SECULAR_CERTIFICATE = 4
 # decline cheap.
 SECULAR_ITERATIONS = 12
 # Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
-# rebuild's block products, the oracle's dense eigh) runs on one thread
-# (``_serial_blas``).  Median seconds of wall / CPU time of one eigh of the
-# free Hamiltonian at n = dim, diagonalised as a complex matrix, on a 2-vCPU
-# x86-64 box with numpy's OpenBLAS:
+# rebuild's block products, the oracle's dense eigh) runs on one thread, and
+# above it on as many as OpenBLAS starts with, one per processor unless a
+# thread variable was set (``_serial_blas``).  Median seconds of wall / CPU
+# time of one eigh of the free Hamiltonian at n = dim, diagonalised as a
+# complex matrix, on a 2-vCPU x86-64 box with numpy's OpenBLAS:
 #
 #    dim     2 threads      1 thread
 #    501   0.20 / 0.31   0.22 / 0.32
@@ -226,44 +232,52 @@ def _max_step(op: SparseOperator) -> float:
 
 @functools.cache
 def _openblas_threads():
-    """Thread-count getter and setter of the OpenBLAS bundled with numpy
-    (``numpy.libs`` or ``numpy/.dylibs``), or None where there is none."""
-    root = Path(np.__file__).parent
-    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+    """Thread-count getter and setter and processor-count getter of the
+    OpenBLAS bundled with numpy (``numpy.libs`` or ``numpy/.dylibs``), or
+    None where there is none."""
+    for path in _bundled_openblas(Path(np.__file__).parent):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
             continue
         # scipy-openblas (numpy >= 2) or OpenBLAS, with 64-bit integers or not
         for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
-            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            set_threads = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if get is not None and set_threads is not None:
+            names = ("get_num_threads", "set_num_threads", "get_num_procs")
+            funcs = [getattr(lib, f"{prefix}openblas_{name}{suffix}", None) for name in names]
+            if None not in funcs:
+                get, set_threads, procs = funcs
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                return get, set_threads
+                procs.argtypes, procs.restype = [], ctypes.c_int
+                return get, set_threads, procs
     return None
 
 
 @contextlib.contextmanager
 def _serial_blas(dim: int = 0):
     """Run the body on one BLAS thread when ``dim`` <= SERIAL_BLAS_DIM (or
-    is not given), and restore the previous count when it ends, by return
-    or exception.
+    is not given), and on the count OpenBLAS would have started with above
+    it; restore the previous count when the body ends, by return or
+    exception.
 
-    Only numpy's bundled OpenBLAS is switched; where it is not found (MKL,
-    Accelerate, a system BLAS) this does nothing.  The count is global to
-    the process, so this is not safe under concurrent calls from Python
-    threads.  A generator must not yield inside the body, or the count stays
-    at 1 for as long as it is suspended.
+    The count above the cutoff is the processor count where the package
+    loaded numpy on one thread (``zenoreg._import_numpy_on_one_thread``),
+    else the count as found.  Only numpy's bundled OpenBLAS is switched;
+    where it is not found (MKL, Accelerate, a system BLAS) this does
+    nothing.  The count is global to the process, so this is not safe under
+    concurrent calls from Python threads.  A generator must not yield inside
+    the body, or the count stays switched for as long as it is suspended.
     """
-    threads = _openblas_threads() if dim <= SERIAL_BLAS_DIM else None
+    threads = _openblas_threads()
     if threads is None:
         yield
         return
-    get, set_threads = threads
+    get, set_threads, procs = threads
     previous = get()
-    set_threads(1)
+    if dim <= SERIAL_BLAS_DIM:
+        set_threads(1)
+    elif _numpy_on_one_thread:
+        set_threads(procs())
     try:
         yield
     finally:

@@ -805,6 +805,28 @@ class TestPlot:
         assert result.exit_code == 2, result.output
         assert "error: CSV must carry a header row and at least two columns" in result.output
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,a\n", "CSV has a header row of 2 names but no data rows"),
+            ("t,a,b\n1,2\n", "CSV line 2 has 2 values, but the header names 3 columns"),
+            ("t,a\n0,1\n\n1\n2,3\n", "CSV line 4 has 1 value, but the header names 2 columns"),
+            ("t,a\n0,1,2\n", "CSV line 2 has 3 values, but the header names 2 columns"),
+            ("t,a\n0,1\n1,x\n", "could not convert string to float: 'x'"),
+        ],
+        ids=["header only", "row shorter than the header", "short row after a blank line", "long row", "not a number"],
+    )
+    def test_malformed_csv_exits_2_naming_the_fault(self, runner, tmp_path, text, message):
+        csv = tmp_path / "data.csv"
+        csv.write_text(text)
+        out = tmp_path / "fig"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["plot", "--in", str(csv), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {message}\n"
+        assert not (tmp_path / "fig.svg").exists()
+
     def test_y_label_is_rotated_and_escaped(self, runner, tmp_path):
         csv = tmp_path / "data.csv"
         csv.write_text("t,a\n0,1\n1,2\n")

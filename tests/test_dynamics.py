@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zenoreg
 from conftest import free_params, grid_rows, measurement_test_params, reduced_s_index
 from zenoreg import dynamics
 from zenoreg.dynamics import (
@@ -943,13 +948,15 @@ class TestSpectralMasterEquation:
 
 
 @pytest.fixture()
-def blas_threads():
+def blas_threads(monkeypatch):
     """The getter and setter of numpy's OpenBLAS thread count, the count set
-    to 2 for the test and put back after it."""
+    to 2 for the test and put back after it.  The package is taken to have
+    found numpy loaded, so above SERIAL_BLAS_DIM the count stays at 2."""
     threads = dynamics._openblas_threads()
     if threads is None:
         pytest.skip("numpy's bundled OpenBLAS not found")
-    get, set_threads = threads
+    get, set_threads, _ = threads
+    monkeypatch.setattr(dynamics, "_numpy_on_one_thread", False)
     before = get()
     set_threads(2)
     yield get, set_threads
@@ -1054,6 +1061,65 @@ class TestSerialBlas:
         series = null_trajectory(reference_params, 51, t_end=30.0, max_samples=11)
         assert series.backend == "eig" and seen == [1]
         assert set(products) == {2} and get() == 2
+
+
+def fresh_interpreter(code: str, **variables) -> list[str]:
+    """Run ``code`` in a new interpreter with none of the BLAS thread
+    variables set but ``variables``, and return its output words."""
+    if dynamics._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    env = {k: v for k, v in os.environ.items() if k not in zenoreg._BLAS_THREAD_VARS}
+    src = str(Path(zenoreg.__file__).resolve().parents[1])
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+COUNTS = """
+from zenoreg import dynamics
+get, _, procs = dynamics._openblas_threads()
+print(dynamics._numpy_on_one_thread, get(), procs())
+"""
+
+
+class TestOneThreadLoad:
+    def test_import_loads_numpy_on_one_thread(self):
+        assert fresh_interpreter(COUNTS)[:2] == ["True", "1"]
+
+    def test_the_variable_is_gone_after_the_import(self):
+        code = """
+import os, subprocess, sys
+import zenoreg
+child = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+print("OPENBLAS_NUM_THREADS" in os.environ, subprocess.run([sys.executable, "-c", child], capture_output=True, text=True).stdout)
+"""
+        assert fresh_interpreter(code) == ["False", "None"]
+
+    @pytest.mark.parametrize("variable", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_chosen_count_is_kept(self, variable):
+        loaded, count, procs = fresh_interpreter(COUNTS, **{variable: "2"})
+        assert loaded == "False" and int(count) == min(2, int(procs))
+
+    def test_numpy_imported_first_keeps_its_threads(self):
+        loaded, count, procs = fresh_interpreter("import numpy" + COUNTS)
+        assert loaded == "False" and count == procs
+
+    def test_dense_work_above_the_cutoff_gets_every_processor(self):
+        # a 5 x 5 damped chain, not an arrowhead, so LAPACK's eig runs
+        code = COUNTS + """
+import numpy as np
+from zenoreg import SparseOperator, evolve
+dynamics.SERIAL_BLAS_DIM = 4
+seen, eig = [], np.linalg.eig
+np.linalg.eig = lambda a: seen.append(get()) or eig(a)
+rows, cols = np.arange(4), np.arange(1, 5)
+op = SparseOperator.from_coo(5, [*rows, *cols, 4], [*cols, *rows, 4], [1.0] * 8 + [-0.5j])
+print(evolve(op, np.eye(5)[0], t_end=1.0, max_samples=11).backend, seen, get())
+"""
+        loaded, count, procs, backend, seen, after = fresh_interpreter(code)
+        assert (loaded, count, backend, after) == ("True", "1", "eig", "1")
+        assert seen == f"[{procs}]"
 
 
 class TestGridRebuild:
