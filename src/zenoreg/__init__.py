@@ -14,37 +14,43 @@ from pathlib import Path
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _bundled_openblas(numpy_dir: Path) -> list[Path]:
-    """The OpenBLAS files bundled with the numpy package at ``numpy_dir``
-    (in ``numpy.libs`` beside it, or ``numpy/.dylibs``), in name order."""
-    return sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"), *numpy_dir.glob(".dylibs/*openblas*")])
+def _bundled_openblas(package: str) -> list[Path]:
+    """The OpenBLAS files bundled with the installed top-level ``package``
+    (in ``<package>.libs`` beside it, or ``<package>/.dylibs``), in name
+    order; the package is found, not imported."""
+    spec = importlib.util.find_spec(package)
+    if spec is None or spec.origin is None:
+        return []
+    package_dir = Path(spec.origin).parent
+    return sorted([*package_dir.parent.glob(f"{package}.libs/*openblas*"), *package_dir.glob(".dylibs/*openblas*")])
 
 
-def _import_numpy_on_one_thread() -> bool:
-    """Import numpy with its bundled OpenBLAS started on one thread, and say
-    whether that was done.
+def _import_on_one_thread(module: str) -> bool:
+    """Import ``module`` with the OpenBLAS bundled with its top-level
+    package started on one thread, and say whether that was done.
 
     OpenBLAS starts a thread per processor when it loads, and an idle one
-    busy-waits; ``dynamics._serial_blas`` raises the count only for dense
-    work above SERIAL_BLAS_DIM.  OPENBLAS_NUM_THREADS is set for the load
-    alone, so child processes do not inherit it.  A process that imported
-    numpy first, set any of _BLAS_THREAD_VARS or has no bundled OpenBLAS (MKL,
-    a distribution's numpy) is left as it is.
+    busy-waits; ``dynamics._serial_blas`` raises numpy's count only for
+    dense work above SERIAL_BLAS_DIM.  OPENBLAS_NUM_THREADS is set for the
+    load alone, so child processes do not inherit it.  A process that
+    imported ``module`` first, set any of _BLAS_THREAD_VARS or has no
+    bundled OpenBLAS for it (MKL, a distribution's build) is left as it is.
+    numpy is loaded so by the package import, and scipy's second OpenBLAS
+    by the oracle's import of ``scipy.sparse.linalg``.
     """
-    if "numpy" in sys.modules or any(var in os.environ for var in _BLAS_THREAD_VARS):
+    if module in sys.modules or any(var in os.environ for var in _BLAS_THREAD_VARS):
         return False
-    spec = importlib.util.find_spec("numpy")
-    if spec is None or spec.origin is None or not _bundled_openblas(Path(spec.origin).parent):
+    if not _bundled_openblas(module.partition(".")[0]):
         return False
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
-        import numpy
+        importlib.import_module(module)
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
     return True
 
 
-_numpy_on_one_thread = _import_numpy_on_one_thread()
+_numpy_on_one_thread = _import_on_one_thread("numpy")
 
 from .analytics import (
     PreparationStats,

@@ -36,12 +36,16 @@ step pins the fixed-step RK4 kernel ``_rk4``, the reference; without one, a
 G of dimension up to DENSE_EIG_CUTOFF is diagonalised once and the samples are
 rebuilt exactly (``_spectral``), unless its eigenvectors are ill
 conditioned, and a larger G runs RK4.  The Bloch system is never pinned.
-A real Hermitian H is diagonalised in real arithmetic.  A complex
-symmetric arrowhead H, the eliminated model's bright operator, is
-diagonalised in O(dim^2) from its secular equation (``_secular_eig``): its
-roots are accepted only when Löwner's couplings certify them to rounding,
-and any other non-Hermitian G, or uncertified roots, take LAPACK's dense
-eig.  A spectral run whose phases lam t would be only rounding is refused.
+A real Hermitian H is diagonalised in real arithmetic.  Every register
+generator is one block arrowhead, a hub coupled to tails that do not couple
+to each other, laid out by ``register._block_arrowhead`` (the master
+equation's ``_rme_generator`` too, with 3 x 3 tails), which keeps the parts
+on the operator.  A complex symmetric arrowhead H with 1 x 1 tails, the
+eliminated model's bright operator, is diagonalised in O(dim^2) from its
+secular equation (``_secular_eig``), read off those parts: its roots are
+accepted only when Löwner's couplings certify them to rounding, and any
+other non-Hermitian G, or uncertified roots, take LAPACK's dense eig.
+A spectral run whose phases lam t would be only rounding is refused.
 The rebuild y(t) = V (a * exp(lam t)) groups the lam into clusters whose
 members lie within 1 / t_end of their mean mu (``_compress``).  A cluster
 whose Taylor series in (lam - mu) t reaches EPS (rho^k e^rho / k! <= EPS
@@ -88,7 +92,6 @@ import math
 import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -99,6 +102,7 @@ from .register import (
     RestrictedBasis,
     SparseOperator,
     StateVector,
+    _block_arrowhead,
     build_basis,
     build_effective_hamiltonian,
     build_eliminated_hamiltonian,
@@ -231,11 +235,11 @@ def _max_step(op: SparseOperator) -> float:
 
 
 @functools.cache
-def _openblas_threads():
+def _openblas_threads(package: str = "numpy"):
     """Thread-count getter and setter and processor-count getter of the
-    OpenBLAS bundled with numpy (``numpy.libs`` or ``numpy/.dylibs``), or
+    OpenBLAS bundled with ``package`` (``zenoreg._bundled_openblas``), or
     None where there is none."""
-    for path in _bundled_openblas(Path(np.__file__).parent):
+    for path in _bundled_openblas(package):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError:
@@ -472,31 +476,6 @@ def _dense_eigh(op: SparseOperator):
     return w, vecs.astype(np.complex128, copy=False)
 
 
-def _arrowhead_entries(op: SparseOperator):
-    """(a0, d, c) when ``op`` is the complex symmetric arrowhead with a0 at
-    (0, 0), the distinct poles d on the rest of the diagonal and the
-    nonzero finite couplings c in row 0 and column 0, else None.  Read off
-    the canonical COO arrays (row 0 first, each row by column)."""
-    m = op.dim - 1
-    rows, cols, vals = op.rows, op.cols, op.vals
-    off = rows != cols
-    in_row, in_col = off & (rows == 0), off & (cols == 0)
-    # m entries each and no other off-diagonal one: row 0 then holds
-    # columns 1..m in order, and column 0 rows 1..m
-    if m < 1 or (np.count_nonzero(in_row), np.count_nonzero(in_col), np.count_nonzero(off)) != (m, m, 2 * m):
-        return None
-    c = vals[in_row].astype(np.complex128)
-    diagonal = np.zeros(op.dim, dtype=np.complex128)
-    diagonal[rows[~off]] = vals[~off]
-    d = diagonal[1:]
-    finite = np.all(np.isfinite(diagonal)) and np.all(np.isfinite(c))
-    # equal poles sort next to each other (np.unique would import numpy.ma)
-    poles = np.sort(d)
-    if not (finite and np.array_equal(c, vals[in_col]) and np.all(c != 0) and np.all(poles[1:] != poles[:-1])):
-        return None
-    return diagonal[0], d, c
-
-
 def _secular_roots(a0: complex, d: np.ndarray, c: np.ndarray):
     """Roots of the arrowhead (a0, d, c) relative to their origins, tau, and
     Löwner's couplings squared, chat^2, or None when the roots fail their
@@ -551,21 +530,38 @@ def _secular_roots(a0: complex, d: np.ndarray, c: np.ndarray):
 
 def _secular_eig(op: SparseOperator):
     """Eigenvalues w, unit eigenvectors V and V^-1 of a complex symmetric
-    arrowhead (``_arrowhead_entries``) from its secular equation
-    (``_secular_roots``), in O(dim^2) time and memory; None when ``op`` is
-    no such arrowhead or its roots fail their certificate.
+    arrowhead from its secular equation (``_secular_roots``), in O(dim^2)
+    time and memory; None when ``op`` is no such arrowhead or its roots fail
+    their certificate.
+
+    a0, the poles d and the couplings c are read off the parts that
+    ``register._block_arrowhead`` keeps on ``op``: its tails must be 1 x 1,
+    fill slots 1..dim-1 and couple alike in row and column 0 (u == v), and
+    a0, d and c must be finite, c nonzero and d distinct.  An operator
+    without parts (built from triplets, or through ``dataclasses.replace``)
+    is declined.
 
     The vectors (1, chat / (lam_k - d)) are exact for the arrowhead with
     Löwner's couplings chat, which is complex symmetric, so
     V^-1 = diag(1 / v_k^T v_k) V^T.  The roots' matrix-vector products run
     on one BLAS thread whatever the size (``_serial_blas``).
     """
-    entries = _arrowhead_entries(op)
-    with _serial_blas():
-        roots = entries and _secular_roots(*entries)
-    if not roots:
+    if op.arrowhead is None or op.dim < 2:
         return None
-    (a0, d, c), (tau, chat2) = entries, roots
+    a0, slots, u, v, blocks = op.arrowhead
+    c, d = u[:, 0].astype(np.complex128), blocks[:, 0, 0].astype(np.complex128)
+    # 1 x 1 tails at slots 1..dim-1; equal poles sort next to each other
+    # (np.unique would import numpy.ma)
+    layout = np.array_equal(slots, np.arange(1, op.dim)[:, None]) and np.array_equal(u, v)
+    poles = np.sort(d)
+    finite = np.isfinite(a0) and np.all(np.isfinite(d)) and np.all(np.isfinite(c))
+    if not (layout and finite and np.all(c != 0) and np.all(poles[1:] != poles[:-1])):
+        return None
+    with _serial_blas():
+        roots = _secular_roots(a0, d, c)
+    if roots is None:
+        return None
+    tau, chat2 = roots
     origin = np.concatenate(([a0], d))
     vecs = np.empty((op.dim, op.dim), dtype=np.complex128)
     vecs[0] = 1.0
@@ -615,8 +611,9 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     marked Hermitian (``SparseOperator.from_coo`` verifies the mark); any
     other operator takes the "eig" backend, however small its non-normal
     part, since over a long run that part still matters.  There a complex
-    symmetric arrowhead (the eliminated model's bright operator) is solved
-    from its secular equation in O(dim^2) (``_secular_eig``); any other M,
+    symmetric arrowhead with 1 x 1 tails (the eliminated model's bright
+    operator, whose arrowhead parts it reads) is solved from its secular
+    equation in O(dim^2) (``_secular_eig``); any other M,
     or an arrowhead whose roots fail their certificate, takes LAPACK's dense
     ``eig`` and ``inv`` (``_dense_eig``).
     ``y`` is only read, and its dtype is the run's arithmetic: a real ``y``
@@ -1139,30 +1136,24 @@ class RMESeries(_Diagnosed):
 
 def _rme_generator(p: DerivedParams, basis: RestrictedBasis):
     """Real (float64) generator G of ``reduced_master_equation`` on
-    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST]; ``_propagate`` reads its RK4
+    y = [rho_TT, rho_SS, Re rho_ST, Im rho_ST]: a block arrowhead with hub
+    rho_TT and a 3 x 3 tail (rho_SS, Re rho_ST, Im rho_ST) per pair state
+    at slots 1 + j, 1 + m + j, 1 + 2m + j.  ``_propagate`` reads its RK4
     step bound off G, as every level's.  Zero entries (J = 0, kappa = 0, a
     zero rate or energy) are left out."""
     m = 2 * basis.n_bonds
     e_plus_vc = basis.pair_energies(p.delta_over_u) + p.vc_over_u
     kap_coh = coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     sqrt2j = math.sqrt(2.0) * p.j_over_u
-
-    tt, ss = 0, 1 + np.arange(m)
-    re, im = ss + m, ss + 2 * m
-    blocks = [  # row, column, value; one entry per pair state
-        (tt, im, -2.0 * sqrt2j),
-        (ss, ss, -2.0 * p.kappa_over_u),
-        (ss, im, 2.0 * sqrt2j),
-        (re, re, -kap_coh),
-        (re, im, e_plus_vc),
-        (im, tt, sqrt2j),
-        (im, ss, -sqrt2j),
-        (im, re, -e_plus_vc),
-        (im, im, -kap_coh),
+    zero, hop = np.zeros(m), np.full(m, sqrt2j)
+    block = [  # each tail's, by row (rho_SS, Re rho_ST, Im rho_ST)
+        [np.full(m, -2.0 * p.kappa_over_u), zero, 2.0 * hop],
+        [zero, -kap_coh, e_plus_vc],
+        [-hop, -e_plus_vc, -kap_coh],
     ]
-    rows, cols, vals = (np.concatenate([np.broadcast_to(b[i], (m,)) for b in blocks]) for i in range(3))
-    keep = vals != 0
-    return SparseOperator._canonical(1 + 3 * m, rows[keep], cols[keep], vals[keep])
+    slots = 1 + np.arange(m)[:, None] + m * np.arange(3)
+    blocks = np.moveaxis(np.array(block), -1, 0)
+    return _block_arrowhead(1 + 3 * m, 0.0, slots, [0.0, 0.0, -2.0 * sqrt2j], [0.0, 0.0, sqrt2j], blocks)
 
 
 def reduced_master_equation(

@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _import_on_one_thread
 from .dynamics import (
     DENSE_EIG_CUTOFF,
     MAX_OUTPUT_SAMPLES,
@@ -168,7 +169,10 @@ def exact_ground_state(op: SparseOperator) -> tuple[float, np.ndarray]:
     if op.dim <= DENSE_EIG_CUTOFF:
         energies, vectors = _dense_eigh(op)
     else:
-        import scipy.sparse.linalg  # only here, to keep it out of the package import
+        # only here, to keep it out of the package import; scipy bundles a
+        # second OpenBLAS, loaded by this import, on one thread as numpy's
+        _import_on_one_thread("scipy.sparse.linalg")
+        import scipy.sparse.linalg
 
         energies, vectors = scipy.sparse.linalg.eigsh(op.matrix, k=1, which="SA")
     energy, vector = float(energies[0]), vectors[:, 0]

@@ -19,16 +19,21 @@ With the trap offset eps(j) = delta j^2 and |T> defining the zero of
 energy, the pair-state energies are E(S_j^+/-) = U -/+ delta (2j+1); all
 energies here are in units of U (so U = 1).  ``RestrictedBasis`` holds this
 layout and spectrum as arrays over the pair states, and every operator and
-state below is built from them.  ``BrightSector`` is the smaller layout, one
-state per group of equal-energy pair states, that the conditioned dynamics
-from the perturbative ground state never leaves.
+state below is built from them.  Every operator is a block arrowhead, T
+coupled to one tail per pair state ((S, M), or S alone), and
+``_block_arrowhead`` is the one assembler of it (and of the master
+equation's generator): it keeps the parts on the ``SparseOperator`` it
+returns.  ``BrightSector`` is the smaller layout, one state per group of
+equal-energy pair states, that the conditioned dynamics from the
+perturbative ground state never leaves; ``BrightSector.restrict`` folds
+those parts into its operator.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +117,9 @@ class SparseOperator:
     order); ``matrix``, the CSR form that the RK4 kernel and the Lanczos
     solver take, is built (and scipy.sparse imported) only on first use.
     ``from_coo`` gives complex128 values; the master equation's generator is
-    float64.
+    float64.  ``arrowhead`` holds the parts (a0, slots, u, v, blocks) of an
+    operator that ``_block_arrowhead`` assembled, else None; any other
+    constructor, ``dataclasses.replace`` too, leaves it None.
     """
 
     dim: int
@@ -120,6 +127,7 @@ class SparseOperator:
     cols: np.ndarray
     vals: np.ndarray
     hermitian: bool = False
+    arrowhead: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_coo(cls, dim: int, rows, cols, vals, hermitian: bool = False) -> "SparseOperator":
@@ -280,12 +288,14 @@ class BrightSector:
     sector state of each full-layout slot (-1: a molecule outside a sector
     without molecules), where P has the weight 1/sqrt(size), ``size`` being
     each sector state's group size (1 for T).  ``group`` is the group of
-    each pair state.
+    each pair state and ``first`` the first member of each group, whose
+    tail ``restrict`` keeps.
     """
 
     def __init__(self, basis: RestrictedBasis, delta: float, molecular: bool):
         self.basis, self.molecular = basis, molecular
-        _, self.group, size = np.unique(basis.pair_energies(delta), return_inverse=True, return_counts=True)
+        energies = basis.pair_energies(delta)
+        _, self.first, self.group, size = np.unique(energies, return_index=True, return_inverse=True, return_counts=True)
         parts = range(2 if molecular else 1)
         self.dim = 1 + len(parts) * size.size
         self.size = np.concatenate([[1]] + [size for _ in parts])
@@ -295,17 +305,25 @@ class BrightSector:
 
     def restrict(self, op: SparseOperator) -> SparseOperator:
         """P^H op P, the block of the register operator ``op`` (full or T+S
-        layout) on the sector.  Raises ModelError if a sector without
-        molecules is given an operator with molecular entries."""
-        index = self.index if op.dim == self.basis.dimension else self.index[np.r_[0, self.basis.s_slots]]
-        if op.dim != index.size:
+        layout, from the builders' ``_block_arrowhead``) on the sector: each
+        group keeps its first member's tail, coupled to T by
+        size (u / sqrt(size)).  Raises ModelError for another operator, for
+        tails that differ within a group and for molecular tails given to a
+        sector without molecules."""
+        if op.dim not in (self.basis.dimension, self.basis.reduced_dimension):
             raise ModelError(f"dimension {op.dim} is neither the full nor the T+S layout of n={self.basis.n}")
-        rows, cols = index[op.rows], index[op.cols]
-        if rows.min(initial=0) < 0 or cols.min(initial=0) < 0:
+        if op.arrowhead is None:
+            raise ModelError("restrict takes the operators of the register builders, which keep their arrowhead parts")
+        a0, slots, u, v, blocks = op.arrowhead
+        groups, width = self.first.size, slots.shape[1]
+        if width > (2 if self.molecular else 1):
             raise ModelError("operator has molecular entries, outside a sector without molecules")
-        # one rounding per weight: a size-2 group's diagonal is halved exactly
-        vals = op.vals / np.sqrt(self.size[rows] * self.size[cols])
-        return SparseOperator._canonical(self.dim, rows, cols, vals, op.hermitian)
+        if not all(np.array_equal(x, x[self.first][self.group]) for x in (u, v, blocks)):
+            raise ModelError("operator differs within a group of equal-energy pair states")
+        size = self.size[1 : 1 + groups, None]
+        u, v = (size * (x[self.first] / np.sqrt(size)) for x in (u, v))
+        slots = 1 + np.arange(groups)[:, None] + groups * np.arange(width)
+        return _block_arrowhead(self.dim, a0, slots, u, v, blocks[self.first], op.hermitian)
 
     def project(self, state: StateVector) -> np.ndarray:
         """P^H psi: sector amplitudes of ``state``, whose pair (and molecular)
@@ -334,30 +352,34 @@ class BrightSector:
         return state if self.molecular else state.reduced()
 
 
-def _arrowhead(dim, slots, s_diag, j_hop, m_slots=None, m_diag=None, omega_m=0.0, hermitian=True):
-    """Register operator with T at index 0: T row and column -sqrt(2) J to
-    every pair state at ``slots``, ``s_diag`` on the pair diagonal and, with
-    ``m_slots``, each molecule there coupled to its pair by Omega_M/2 with
-    ``m_diag`` on its diagonal."""
-    t = np.zeros_like(slots)
-    hop = np.full(slots.size, -math.sqrt(2.0) * j_hop)
-    rows, cols, vals = [[0], slots, t, slots], [[0], slots, slots, t], [[0.0], s_diag, hop, hop]
-    if m_slots is not None:
-        half = np.full(slots.size, omega_m / 2.0)
-        rows += [m_slots, slots, m_slots]
-        cols += [m_slots, m_slots, slots]
-        vals += [m_diag, half, half]
-    return SparseOperator.from_coo(
-        dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), hermitian
-    )
+def _block_arrowhead(dim, a0, slots, u, v, blocks, hermitian=False) -> SparseOperator:
+    """The block arrowhead with a0 at (0, 0) and, for each tail g, its b
+    states at ``slots[g]`` (``slots`` is G x b), the hub's couplings
+    ``u[g]`` in row 0 and ``v[g]`` in column 0, and its own b x b block
+    ``blocks[g]``; ``u``, ``v`` and ``blocks`` broadcast to G x b and
+    G x b x b.  Zero entries are left out, and the values take the common
+    type of the parts.  The operator keeps the parts as ``arrowhead``, which
+    ``BrightSector.restrict`` and the secular solver read."""
+    u, v = (np.broadcast_to(x, slots.shape) for x in (u, v))
+    blocks = np.broadcast_to(blocks, slots.shape + slots.shape[-1:])
+    hub, square = np.zeros(slots.size, dtype=np.int64), np.broadcast_to(slots[:, :, None], blocks.shape)
+    rows = np.concatenate(([0], hub, slots.ravel(), square.ravel()))
+    cols = np.concatenate(([0], slots.ravel(), hub, square.transpose(0, 2, 1).ravel()))
+    vals = np.concatenate(([a0], u.ravel(), v.ravel(), blocks.ravel()))
+    keep = vals != 0
+    op = SparseOperator._canonical(dim, rows[keep], cols[keep], vals[keep], hermitian)
+    op.arrowhead = (a0, slots, u, v, blocks)
+    return op
 
 
 def _molecular_hamiltonian(basis: RestrictedBasis, p: DerivedParams, loss: float, hermitian: bool):
     """Full-layout Hamiltonian with -i loss/2 on every molecular diagonal."""
     s_diag = p.vc_over_u + basis.pair_energies(p.delta_over_u)
     m_diag = s_diag - 1.0 - 0.5j * loss
-    slots = basis.s_slots
-    return _arrowhead(basis.dimension, slots, s_diag, p.j_over_u, slots + 2, m_diag, p.omega_m_over_u, hermitian)
+    half = np.full(s_diag.size, p.omega_m_over_u / 2.0)
+    blocks = np.stack([s_diag, half, half, m_diag], axis=1).reshape(-1, 2, 2)  # a tail (S, M) per pair state
+    hop = [-math.sqrt(2.0) * p.j_over_u, 0.0]
+    return _block_arrowhead(basis.dimension, 0j, basis.s_slots[:, None] + [0, 2], hop, hop, blocks, hermitian)
 
 
 def build_interaction_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOperator:
@@ -386,8 +408,9 @@ def build_free_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> SparseOp
     T and S states only: diagonal 0 and E(S_j^+-), couplings -sqrt(2) J;
     molecular rows are identically zero.
     """
-    energies = basis.pair_energies(p.delta_over_u)
-    return _arrowhead(basis.dimension, basis.s_slots, energies, p.j_over_u)
+    hop = -math.sqrt(2.0) * p.j_over_u
+    energies = basis.pair_energies(p.delta_over_u)[:, None, None]
+    return _block_arrowhead(basis.dimension, 0j, basis.s_slots[:, None], hop, hop, energies, hermitian=True)
 
 
 def coherence_damping_rate(j, sign, p: DerivedParams):
@@ -418,8 +441,9 @@ def build_eliminated_hamiltonian(basis: RestrictedBasis, p: DerivedParams) -> Sp
     s_diag = (p.vc_over_u + basis.pair_energies(p.delta_over_u)).astype(np.complex128)
     s_diag.imag = -coherence_damping_rate(basis.pair_j, basis.pair_sign, p)
     hermitian = p.omega_m_over_u == 0.0 or p.gamma_m_over_u == 0.0
-    slots = np.arange(1, basis.reduced_dimension)
-    return _arrowhead(basis.reduced_dimension, slots, s_diag, p.j_over_u, hermitian=hermitian)
+    hop = -math.sqrt(2.0) * p.j_over_u
+    slots = np.arange(1, basis.reduced_dimension)[:, None]
+    return _block_arrowhead(basis.reduced_dimension, 0j, slots, hop, hop, s_diag[:, None, None], hermitian)
 
 
 def perturbative_ground_state(basis: RestrictedBasis, p: DerivedParams) -> StateVector:

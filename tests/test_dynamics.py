@@ -55,6 +55,7 @@ from zenoreg.register import (
     ModelError,
     SparseOperator,
     StateVector,
+    _block_arrowhead,
     build_basis,
     build_effective_hamiltonian,
     build_eliminated_hamiltonian,
@@ -644,10 +645,9 @@ def arrowheads(draw, damped: bool = True):
     couplings = draw(st.lists(real, min_size=size, max_size=size))
     energies = draw(st.lists(real, min_size=size, max_size=size))
     damping = draw(st.lists(st.floats(0.0, 3.0), min_size=size, max_size=size)) if damped else [0.0] * size
-    triplets = [(0, 0, complex(draw(real)))]
-    for k, (c, e, g) in enumerate(zip(couplings, energies, damping), start=1):
-        triplets += [(0, k, complex(c)), (k, 0, complex(c)), (k, k, complex(e, -g))]
-    op = SparseOperator.from_triplets(size + 1, triplets)
+    a0 = complex(draw(real))
+    poles = np.array([complex(e, -g) for e, g in zip(energies, damping)])
+    op = arrowhead(poles, couplings, a0=a0)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     psi0 = rng.standard_normal(size + 1) + 1j * rng.standard_normal(size + 1)
     return op, psi0 / np.linalg.norm(psi0)
@@ -676,7 +676,8 @@ class TestKernelProperties:
     @given(problem=st.one_of(arrowheads(), arrowheads(damped=False)), steps=st.integers(1, 2000))
     def test_spectral_matches_rk4(self, problem, steps):
         op, psi0 = problem
-        op = replace(op, hermitian=op.is_hermitian())  # Hermitian problems take eigh
+        if op.is_hermitian():  # Hermitian problems take eigh; the others keep their parts
+            op = replace(op, hermitian=True)
         omega = op.frequency_bound() or 1.0
         dt = 0.01 / omega
         runs = {}
@@ -1121,6 +1122,23 @@ print(evolve(op, np.eye(5)[0], t_end=1.0, max_samples=11).backend, seen, get())
         assert (loaded, count, backend, after) == ("True", "1", "eig", "1")
         assert seen == f"[{procs}]"
 
+    @pytest.mark.parametrize("variables", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+    def test_lanczos_loads_scipys_openblas_on_one_thread(self, variables):
+        # above DENSE_EIG_CUTOFF the ground state is found by scipy's eigsh,
+        # whose import loads the second OpenBLAS that scipy bundles
+        if not zenoreg._bundled_openblas("scipy"):
+            pytest.skip("scipy's bundled OpenBLAS not found")
+        code = """
+from zenoreg import build_bose_hubbard, dynamics, exact_ground_state, fock_basis
+op = build_bose_hubbard(fock_basis(7, 8), 1.0, 10.0, 0.0)
+exact_ground_state(op)
+get, _, procs = dynamics._openblas_threads("scipy")
+print(op.dim, get(), procs())
+"""
+        dim, count, procs = fresh_interpreter(code, **variables)
+        assert int(dim) > dynamics.DENSE_EIG_CUTOFF
+        assert int(count) == (min(2, int(procs)) if variables else 1)
+
 
 class TestGridRebuild:
     @pytest.mark.parametrize("n_samples", [5000, 300, 100])  # 300: a partial last block
@@ -1345,20 +1363,25 @@ def spectral_states(op, psi0, t):
 
 def arrowhead(poles, row, column=None, a0=0.0):
     """Arrowhead with a0 at (0, 0), ``poles`` on the rest of the diagonal,
-    ``row`` in row 0 and ``column`` (default: ``row``) in column 0; a
-    coupling of None is left out."""
+    ``row`` in row 0 and ``column`` (default: ``row``) in column 0,
+    assembled as the register builders assemble theirs, so it keeps its
+    parts for the secular solver."""
     column = row if column is None else column
-    triplets = [(0, 0, complex(a0))]
-    for k, (d, r, c) in enumerate(zip(poles, row, column), start=1):
-        triplets += [(k, k, complex(d))] + [e for e in ((0, k, r), (k, 0, c)) if e[2] is not None]
-    return SparseOperator.from_triplets(len(poles) + 1, triplets)
+    tails = np.arange(1, len(poles) + 1)[:, None]
+    row, column, poles = (np.asarray(x, dtype=np.complex128) for x in (row, column, poles))
+    return _block_arrowhead(len(poles) + 1, complex(a0), tails, row[:, None], column[:, None], poles[:, None, None])
+
+
+def without_parts(op: SparseOperator) -> SparseOperator:
+    """``op``'s entries, built from triplets, so without arrowhead parts."""
+    return SparseOperator.from_triplets(op.dim, list(zip(op.rows, op.cols, op.vals)))
 
 
 POLES = [1.0 - 0.1j, 1.5 - 0.2j, 2.0]
 DECLINED = {
     "equal poles": lambda p: arrowhead([1.0 - 0.1j, 1.0 - 0.1j, 2.0], [0.3, 0.2, 0.1]),
     "zero coupling": lambda p: arrowhead(POLES, [0.3, 0.0, 0.1]),
-    "missing coupling": lambda p: arrowhead(POLES, [0.3, None, 0.1]),
+    "missing coupling": lambda p: without_parts(arrowhead(POLES, [0.3, 0.0, 0.1])),
     "row 0 != column 0": lambda p: arrowhead(POLES, [0.3, 0.2, 0.1], [0.3, 0.2, 0.1 + 1e-12]),
     "full model": lambda p: _conditioned_problem(p, 5, "full")[1],
     # coupling 0.038 against a pole spacing of 2e-4
@@ -1367,6 +1390,14 @@ DECLINED = {
 
 
 class TestSecularSolver:
+    def test_the_arrowhead_helper_reaches_the_solver(self):
+        assert dynamics._secular_eig(arrowhead(POLES, [0.3, 0.2, 0.1])) is not None
+
+    def test_replace_drops_the_parts(self):
+        op = arrowhead(POLES, [0.3, 0.2, 0.1])
+        assert op.arrowhead is not None
+        assert replace(op, vals=op.vals * 2.0).arrowhead is None
+
     @pytest.mark.parametrize("n", [3, 5, 51, 501])
     def test_matches_lapack(self, reference_params, monkeypatch, n):
         _, op, psi0, _, _ = _conditioned_problem(reference_params, n, "eliminated")
@@ -1547,6 +1578,16 @@ class TestBrightSector:
             sector.restrict(build_interaction_hamiltonian(basis, reference_params))
         with pytest.raises(ModelError, match="neither the full nor the T\\+S layout"):
             sector.restrict(two_level(1.0))
+
+    def test_restrict_refuses_what_it_cannot_fold(self, reference_params):
+        basis = build_basis(5)
+        sector = BrightSector(basis, reference_params.delta_over_u, molecular=False)
+        with pytest.raises(ModelError, match="takes the operators of the register builders"):
+            sector.restrict(without_parts(build_free_hamiltonian(basis, reference_params)))
+        # one group at delta = 0, but the operator's pair energies differ
+        flat = BrightSector(basis, 0.0, molecular=False)
+        with pytest.raises(ModelError, match="differs within a group"):
+            flat.restrict(build_free_hamiltonian(basis, reference_params))
 
 
 class TestStartState:
