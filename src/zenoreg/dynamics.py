@@ -45,6 +45,10 @@ eliminated model's bright operator, is diagonalised in O(dim^2) from its
 secular equation (``_secular_eig``), read off those parts: its roots are
 accepted only when Löwner's couplings certify them to rounding, and any
 other non-Hermitian G, or uncertified roots, take LAPACK's dense eig.
+The secular path's one dim x dim array is V: its roots are found a block
+at a time, and V^-1 = diag(1 / v_k^T v_k) V^T is read by blocks of rows
+of that closed form, never formed (``rowblocks``); the blocks keep every
+sum in the order it has over the whole matrices, so they change no bit.
 A spectral run whose phases lam t would be only rounding is refused.
 The rebuild y(t) = V (a * exp(lam t)) groups the lam into clusters whose
 members lie within 1 / t_end of their mean mu (``_compress``).  A cluster
@@ -65,7 +69,7 @@ the closed-form norm.
 The package loads numpy's bundled OpenBLAS on one thread, unless numpy was
 imported first or a BLAS thread variable is set, and the count is raised
 only for dense work above dimension SERIAL_BLAS_DIM (``_serial_blas``).
-The spectral backend's dense work (the diagonalisation, V^-1, the
+The spectral backend's dense work (the diagonalisation, V^-1 y, the
 rebuild's Taylor columns and block products) and the oracle's dense eigh
 run on one thread up to that size: there a second OpenBLAS thread saves
 little wall time, doubles the CPU time and makes concurrent runs fight over
@@ -109,13 +113,15 @@ from .register import (
     coherence_damping_rate,
     perturbative_ground_state,
 )
+from .rowblocks import EPS, _apply_inverse, _secular_roots
 
 MAX_OUTPUT_SAMPLES = 5000
 NORM_MONOTONE_TOL = 1e-9
 
 # Largest operator diagonalised densely, here and by the oracle's ground-state
-# solver: a 2048^2 complex matrix is 64 MiB, and the spectral backend holds
-# about four of them (H, V, V^-1 and LAPACK's workspace).
+# solver: a 2048^2 complex matrix is 64 MiB.  LAPACK's eig holds about four
+# of them (H, V, V^-1 and its workspace); the secular solver holds V alone,
+# and blocks of ``rowblocks.SECULAR_BLOCK`` rows beside it.
 DENSE_EIG_CUTOFF = 2048
 # Samples rebuilt per matrix product.  The rebuild holds two blocks of
 # SPECTRAL_BLOCK x dim complex, the phases and the states.
@@ -123,19 +129,7 @@ SPECTRAL_BLOCK = 128
 # Rebuilding psi(t) = V (a * exp(lam t)) rounds with a relative error of
 # about cond(V) eps.  The spectral samples are used only while that is below
 # NORM_MONOTONE_TOL, the norm rise ``null_trajectory`` treats as a fault.
-EPS = np.finfo(np.float64).eps
 COND_V_LIMIT = NORM_MONOTONE_TOL / EPS
-# A complex symmetric arrowhead's roots (``_secular_eig``) are accepted when
-# Löwner's couplings reproduce every c_g^2, and the roots the trace, within
-# SECULAR_CERTIFICATE (m + 1) eps: each of the product's m + 1 factors and
-# each term of the trace is formed in about four rounded complex operations.
-SECULAR_CERTIFICATE = 4
-# Newton iterations a secular root may take.  From its one-pole start a root
-# whose coupling is weak against its pole spacing converges quadratically in
-# 3-6; one that needs more sits among strongly coupled poles, where the
-# start is poor and the certificate declines anyway, so the cap keeps that
-# decline cheap.
-SECULAR_ITERATIONS = 12
 # Up to SERIAL_BLAS_DIM the dense work (``_spectral``'s LAPACK calls, the
 # rebuild's block products, the oracle's dense eigh) runs on one thread, and
 # above it on as many as OpenBLAS starts with, one per processor unless a
@@ -476,63 +470,11 @@ def _dense_eigh(op: SparseOperator):
     return w, vecs.astype(np.complex128, copy=False)
 
 
-def _secular_roots(a0: complex, d: np.ndarray, c: np.ndarray):
-    """Roots of the arrowhead (a0, d, c) relative to their origins, tau, and
-    Löwner's couplings squared, chat^2, or None when the roots fail their
-    certificate.
-
-    The roots of f(lam) = lam - a0 - sum_h c_h^2 / (lam - d_h) are found by
-    Newton, vectorised over the roots: one per pole g as tau_g = lam_g - d_g
-    and one (T's) as tau_0 = lam_0 - a0, so no root loses digits to its
-    origin; each starts from its one-pole estimate.  Löwner's formula (Gu &
-    Eisenstat 1995) gives the couplings chat of the arrowhead whose spectrum
-    the roots are exactly.  They are accepted only when every Newton run
-    converged and chat^2 matches c^2, and the roots the trace, within
-    SECULAR_CERTIFICATE.
-    """
-    m = d.size
-    c2 = c * c
-    origin = np.concatenate(([a0], d))
-    # lam_k - d_h = gaps[k, h] + tau_k, exact where h is root k's own pole
-    gaps = origin[:, None] - d
-    own = (np.arange(1, m + 1), np.arange(m))
-    with np.errstate(all="ignore"):
-        recip = np.divide(1.0, gaps)  # then 1 / (lam_k - d_h)
-        recip[own] = 0.0
-        pull = recip @ c2
-        tau = np.concatenate(([pull[0]], c2 / (d - a0 - pull[1:])))
-        # a root takes the step that finds it converged, then keeps its tau
-        done = np.zeros(m + 1, dtype=bool)
-        for _ in range(SECULAR_ITERATIONS):
-            r = np.add(gaps, tau[:, None], out=recip)
-            np.reciprocal(r, out=r)
-            f = origin - a0 + tau - r @ c2
-            # f is zero to within the rounding of its m + 2 terms
-            magnitude = np.abs(origin - a0) + np.abs(tau) + np.abs(r) @ np.abs(c2)
-            converged = np.abs(f) <= (m + 2) * EPS * magnitude
-            r *= r
-            tau = np.where(done, tau, tau - f / (1.0 + r @ c2))
-            done |= converged
-            if done.all():
-                break
-        else:
-            return None
-        lam_d = np.add(gaps, tau[:, None], out=recip)
-        # chat_g^2 = tau_g (d_g - a0 - tau_0) prod_{h != g} (lam_h - d_g) / (d_h - d_g)
-        factors = np.divide(lam_d[1:], gaps[1:], out=gaps[1:])
-        factors[own[1], own[1]] = 1.0
-        chat2 = tau[1:] * -lam_d[0] * np.prod(factors, axis=0)
-        bound = SECULAR_CERTIFICATE * (m + 1) * EPS
-        if np.max(np.abs(chat2 / c2 - 1.0)) <= bound and abs(tau.sum()) <= bound * np.abs(tau).sum():
-            return tau, chat2
-    return None
-
-
 def _secular_eig(op: SparseOperator):
-    """Eigenvalues w, unit eigenvectors V and V^-1 of a complex symmetric
-    arrowhead from its secular equation (``_secular_roots``), in O(dim^2)
-    time and memory; None when ``op`` is no such arrowhead or its roots fail
-    their certificate.
+    """Eigenvalues w, unit eigenvectors V and s_k = v_k^T v_k of a complex
+    symmetric arrowhead from its secular equation (``_secular_roots``), in
+    O(dim^2) time and memory; None when ``op`` is no such arrowhead or its
+    roots fail their certificate.
 
     a0, the poles d and the couplings c are read off the parts that
     ``register._block_arrowhead`` keeps on ``op``: its tails must be 1 x 1,
@@ -543,8 +485,9 @@ def _secular_eig(op: SparseOperator):
 
     The vectors (1, chat / (lam_k - d)) are exact for the arrowhead with
     Löwner's couplings chat, which is complex symmetric, so
-    V^-1 = diag(1 / v_k^T v_k) V^T.  The roots' matrix-vector products run
-    on one BLAS thread whatever the size (``_serial_blas``).
+    V^-1 = diag(1 / s) V^T: V is the only dim x dim array formed, and
+    ``_apply_inverse`` reads V^-1 off it.  The roots' matrix-vector products
+    run on one BLAS thread whatever the size (``_serial_blas``).
     """
     if op.arrowhead is None or op.dim < 2:
         return None
@@ -570,8 +513,8 @@ def _secular_eig(op: SparseOperator):
         lam_d += tau
         np.divide((c * np.sqrt(chat2 / (c * c)))[:, None], lam_d, out=vecs[1:])
         vecs /= np.sqrt(np.vecdot(vecs, vecs, axis=0).real)
-        inv = vecs.T / np.einsum("ij,ij->j", vecs, vecs)[:, None]
-    return origin + tau, vecs, inv
+        s = np.einsum("ij,ij->j", vecs, vecs)
+    return origin + tau, vecs, s
 
 
 def _dense_eig(op: SparseOperator):
@@ -613,9 +556,11 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
     part, since over a long run that part still matters.  There a complex
     symmetric arrowhead with 1 x 1 tails (the eliminated model's bright
     operator, whose arrowhead parts it reads) is solved from its secular
-    equation in O(dim^2) (``_secular_eig``); any other M,
-    or an arrowhead whose roots fail their certificate, takes LAPACK's dense
-    ``eig`` and ``inv`` (``_dense_eig``).
+    equation in O(dim^2) (``_secular_eig``), with V its only dim x dim
+    array; any other M, or an arrowhead whose roots fail their certificate,
+    takes LAPACK's dense ``eig`` and ``inv`` (``_dense_eig``).  For either,
+    a = V^-1 y(0) and cond(V) are read off V^-1 a block of rows at a time
+    (``_apply_inverse``), without a dim x dim temporary.
     ``y`` is only read, and its dtype is the run's arithmetic: a real ``y``
     yields the real part of each row (``_propagate`` casts it).  Returns
     None when cond(V) exceeds COND_V_LIMIT, so the caller falls back to RK4,
@@ -638,10 +583,9 @@ def _spectral(op: SparseOperator, scale: complex, y: np.ndarray, t: np.ndarray) 
             if decomposition is None:
                 return None
             w, vecs, inv = decomposition
-            cond_v = float(np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1))
+            coef, cond_v = _apply_inverse(vecs, inv, y)
             if not cond_v <= COND_V_LIMIT:
                 return None
-            coef = inv @ y
         lam = scale * w
         _refuse_lost_phases(lam, t[-1])
         vecs, coef, lam, taylor = _compress(vecs, coef, lam, t[-1])

@@ -184,7 +184,21 @@ class SparseOperator:
     __matmul__ = matvec
 
     def expectations(self, states: np.ndarray) -> np.ndarray:
-        """Re <y|op|y> for every row y of ``states``, summed over the entries."""
+        """Re <y|op|y> for every row y of ``states``, summed over the entries.
+
+        The entries are gathered for a chunk of rows at a time, as many as
+        keep each gather within the size of ``states``.  A gather of two or
+        more rows is column-major, so each row sums entry by entry, while a
+        lone row sums pairwise; so no chunk is a lone row unless ``states``
+        is, and every row sums as in one gather of them all."""
+        out = np.empty(len(states))
+        chunk = max(2, states.size // max(self.nnz, 1))
+        bounds = [*range(0, max(len(states) - 1, 1), chunk), len(states)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            out[lo:hi] = self._gathered_expectations(states[lo:hi])
+        return out
+
+    def _gathered_expectations(self, states: np.ndarray) -> np.ndarray:
         bra = states[:, self.rows]
         np.conjugate(bra, out=bra)
         products = states[:, self.cols]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,18 +72,33 @@ class RunManifest:
 
 
 def write_sidecar(path, manifest: RunManifest, extra: dict | None = None) -> None:
+    """``extra`` and the manifest as strict JSON: a float that is not
+    finite (p_h past the cloud's edge, the barrier with the trap off) is
+    written as null, since NaN and Infinity are no JSON."""
     payload = dict(extra or {})
     payload["manifest"] = manifest.as_dict()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
         fh.write("\n")
+
+
+def _finite(obj):
+    """``obj`` with every float that is not finite, in any dict, list,
+    tuple or array within it, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)!r}")

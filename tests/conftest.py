@@ -1,13 +1,30 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import settings
 
 from zenoreg.params import DerivedParams, derive_params, reference_config
 
+pytest_plugins = ["pytester"]
+
 # property tests replay the same examples on every run
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
+
+
+@pytest.hookimpl(hookwrapper=True, tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    """Build every test's report under the default warning filters.
+
+    A test marked ``filterwarnings("error")`` keeps that filter while its
+    report is made, and when a property test fails, hypothesis's report hook
+    imports its source-patching helpers; a DeprecationWarning raised by that
+    import (libcst pulls in mypy_extensions' TypedDict) would become an
+    error inside the hook and stop the whole run with INTERNALERROR."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        yield
 
 
 @pytest.fixture(scope="session")

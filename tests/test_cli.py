@@ -265,6 +265,30 @@ class TestParamsCommand:
         payload = read_json(f"{out}.json")
         assert payload["manifest"]["parameters"]["config"]["register_sites"] == 11
 
+    @pytest.mark.parametrize(
+        "line, args, nulls",
+        [
+            # a register spanning the cloud has no hole probability
+            ("atoms = 551", ["--n", "551"], {"p_h"}),
+            # with the trap off, delta = 0 and the barrier is infinite
+            ("trap_frequency_hz = 0", [], {"p_h", "barrier"}),
+        ],
+    )
+    def test_sidecar_is_strict_json(self, runner, tmp_path, line, args, nulls):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "r"
+        result = runner.invoke(main, ["params", "--config", str(cfg), "--out", str(out), *args])
+        assert result.exit_code == 0, result.output
+        assert "p_h = nan" in result.output
+
+        def refuse(name):
+            raise ValueError(f"{name} is no JSON")
+
+        payload = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"), parse_constant=refuse)
+        assert payload["p_h"] is None and payload["regime"]["p_h"] is None
+        assert {key for key, value in payload["regime"].items() if value is None} == nulls
+
     def test_unknown_key_exit_code(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("lattice_depth = 22\n")

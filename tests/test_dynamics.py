@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import zenoreg
 from conftest import free_params, grid_rows, measurement_test_params, reduced_s_index
-from zenoreg import dynamics
+from zenoreg import dynamics, rowblocks
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
     EPS,
@@ -1435,6 +1435,71 @@ class TestSecularSolver:
         assert run.backend == dense.backend == "eig" and run.cond_v == dense.cond_v
         assert np.array_equal(states, ref)
 
+    @pytest.mark.parametrize("n, block", [(5, 1), (5, 6), (51, 1), (51, 52), (501, 1), (501, 502)])
+    def test_block_size_changes_no_bit(self, reference_params, monkeypatch, n, block):
+        # one block of every row, or the shortest blocks _row_blocks makes,
+        # against the default: the roots, Löwner's couplings, coef, cond(V)
+        # and the rebuilt states
+        _, op, psi0, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+        a0, _, u, _, tails = op.arrowhead
+        c, d = u[:, 0].astype(np.complex128), tails[:, 0, 0].astype(np.complex128)
+        y, t = np.array(psi0, dtype=np.complex128), np.linspace(0.0, 30.0, 301)
+
+        def solve():
+            with dynamics._serial_blas(op.dim):
+                tau, chat2 = dynamics._secular_roots(a0, d, c)
+                _, vecs, s = dynamics._secular_eig(op)
+                coef, cond_v = dynamics._apply_inverse(vecs, s, y)
+            run, states = spectral_states(op, psi0, t)
+            assert run.cond_v == cond_v
+            return [tau.tobytes(), chat2.tobytes(), coef.tobytes(), cond_v, states.tobytes()]
+
+        default = solve()
+        monkeypatch.setattr(rowblocks, "SECULAR_BLOCK", block)
+        assert solve() == default
+
+    @pytest.mark.parametrize(
+        "source, n",
+        [("secular", 5), ("secular", 51), ("secular", 501), ("lapack", 5), ("lapack", 51), ("real", 5), ("real", 51)],
+    )
+    def test_inverse_reads_as_the_whole_matrix(self, reference_params, source, n):
+        # coef and cond(V) read V^-1 a block of rows at a time, bit for bit
+        # what V^-1 @ y and the whole matrices' 1-norms give: the closed form
+        # V^T / s, and LAPACK's inverse of a complex operator (the full
+        # model's) and of a real one (the master equation's generator)
+        if source == "secular":
+            _, op, y, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+            _, vecs, given = dynamics._secular_eig(op)
+            inv = vecs.T / given[:, None]
+        else:
+            if source == "lapack":
+                _, op, y, _, _ = _conditioned_problem(reference_params, n, "full")
+            else:
+                op = _rme_generator(reference_params, build_basis(n))
+                y = np.linspace(1.0, 2.0, op.dim)
+            _, vecs, inv = dynamics._dense_eig(op)
+            given = inv
+        y = np.asarray(y, dtype=np.result_type(op.vals, y))
+        with dynamics._serial_blas(op.dim):
+            coef, cond_v = dynamics._apply_inverse(vecs, given, y)
+            assert coef.tobytes() == (inv @ y).tobytes()
+        assert cond_v == np.linalg.norm(vecs, 1) * np.linalg.norm(inv, 1)
+
+    def test_spectral_holds_v_and_blocks(self, reference_params):
+        # V is the only dim x dim array: the default trajectory's solve
+        # peaks within 1.5 times V's 16 dim^2 bytes
+        _, op, psi0, _, _ = _conditioned_problem(reference_params, 501, "eliminated")
+        y, t = np.array(psi0, dtype=np.complex128), np.linspace(0.0, 30.0, 5000)
+        _spectral(op, -1j, y, t)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run = _spectral(op, -1j, y, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.backend == "eig"
+        assert peak <= 1.5 * 16 * op.dim**2
+
     @settings(max_examples=200)
     @given(problem=st.one_of(arrowheads(), arrowheads(damped=False)), t_end=st.floats(0.1, 10.0))
     @pytest.mark.filterwarnings("error")
@@ -1447,7 +1512,10 @@ class TestSecularSolver:
             return
         t = np.linspace(0.0, t_end, 11)
         dense = dynamics._dense_eig(op)
-        exact, ref = (vecs @ ((inv @ psi0)[:, None] * np.exp(-1j * np.outer(w, t))) for w, vecs, inv in (structured, dense))
+        exact, ref = (
+            vecs @ (dynamics._apply_inverse(vecs, inv, psi0)[0][:, None] * np.exp(-1j * np.outer(w, t)))
+            for w, vecs, inv in (structured, dense)
+        )
         cond_v = np.linalg.norm(dense[1], 1) * np.linalg.norm(dense[2], 1)
         assert np.max(np.abs(exact - ref)) <= 100 * cond_v * np.finfo(float).eps
 

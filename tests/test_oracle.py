@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ class TestExactEvolution:
         assert np.max(np.abs(exact.fidelity - rk4.fidelity)) <= 1e-10
         assert np.max(np.abs(exact.norm_sq - rk4.norm_sq)) <= 1e-10
         assert np.max(np.abs(exact.energy - rk4.energy)) <= 1e-10
+
+    def test_memory_is_bounded_by_the_blocks(self):
+        # V (254 kB) and a few grid blocks of 128 x 126 complex (258 kB);
+        # the energy's gathers stay within a block
+        basis, j = fock_basis(5, 5), 1.0 / 500.0
+        exact_evolve_fidelity(basis, j, 1.0, 1e-3, 500.0, max_samples=11)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            series = exact_evolve_fidelity(basis, j, 1.0, 1e-3, 500.0, max_samples=2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.backend == "eigh" and series.t.size == 2001
+        assert peak <= 2 * 2**20
 
     def test_requires_unit_filling(self):
         with pytest.raises(ModelError):

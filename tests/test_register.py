@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -336,6 +337,34 @@ class TestSparseOperator:
         split = SparseOperator.from_triplets(2, [(0, 0, 3.0 + 0j), (0, 0, -1j)] + rest)
         merged = SparseOperator.from_triplets(2, [(0, 0, 3.0 - 1j)] + rest)
         assert split.frequency_bound() == merged.frequency_bound()
+
+
+class TestChunkedExpectations:
+    # blocks of 0 to 300 rows (a spectral grid block has at most 128), C- and
+    # column-major, on a Fock operator with more than 5 entries a row
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5, 17, 24, 25, 128, 300])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_equal_one_gather_bit_for_bit(self, count, layout):
+        op = build_bose_hubbard(fock_basis(5, 5), 0.3, 1.0, 0.01)
+        assert op.nnz > 5 * op.dim
+        rng = np.random.default_rng(count)
+        states = rng.standard_normal((count, op.dim)) + 1j * rng.standard_normal((count, op.dim))
+        states = np.asarray(states, order=layout)
+        assert op._gathered_expectations(states).tobytes() == op.expectations(states).tobytes()
+
+    def test_gathers_stay_within_the_block(self):
+        op = build_bose_hubbard(fock_basis(5, 5), 0.3, 1.0, 0.01)
+        states = np.ones((128, op.dim), dtype=np.complex128)
+        op.expectations(states[:2])  # first-call caches
+        tracemalloc.start()
+        try:
+            op.expectations(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two gathers of at most the block's size, numpy's 8192-entry buffer
+        # for the broadcast product with the entries, and the per-row results
+        assert peak <= 2 * states.nbytes + 8192 * 16 + 16_000
 
 
 @st.composite

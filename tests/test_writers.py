@@ -1,11 +1,13 @@
-"""The CSV and SVG writers against the per-number rules they format by.
+"""The CSV, SVG and JSON sidecar writers against the rules they format by.
 
 ``write_csv`` formats whole rows and ``emit_svg`` whole polylines at once;
 their text must be what the per-number rules give: ``format_number`` for
 each CSV entry, and the scalar axis maps and two-decimal format written out
-below for each polyline point.
+below for each polyline point.  A sidecar is strict JSON, with null for
+each float that is not finite.
 """
 
+import json
 import math
 import re
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenoreg.runio import format_number, write_csv
+from zenoreg.runio import RunManifest, format_number, write_csv, write_sidecar
 from zenoreg.svg import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, emit_svg
 
 FLOATS = st.one_of(
@@ -78,6 +80,29 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="column 'amp' is complex"):
             write_csv(path, ["t", "amp"], [np.arange(3.0), column])
         assert not path.exists()
+
+
+class TestWriteSidecar:
+    MANIFEST = RunManifest("params", {"n": 5})
+
+    def test_finite_payload_as_json_dump_writes_it(self, tmp_path):
+        extra = {"x": 1.0 / 3.0, "k": np.int64(3), "a": np.array([[0.5, -0.0], [5e-324, 1e300]]), "b": np.bool_(True), "s": None}
+        write_sidecar(tmp_path / "x.json", self.MANIFEST, extra)
+        payload = dict(extra, manifest=self.MANIFEST.as_dict())
+        # numpy values as Python's: arrays as nested lists, scalars as items
+        expected = json.dumps(payload, indent=2, sort_keys=True, default=lambda x: x.tolist()) + "\n"
+        assert (tmp_path / "x.json").read_text(encoding="utf-8") == expected
+
+    def test_non_finite_floats_are_null(self, tmp_path):
+        extra = {"p_h": math.nan, "regime": {"barrier": np.float64(np.inf)}, "a": np.array([1.0, -np.inf]), "t": (math.nan, 2)}
+        write_sidecar(tmp_path / "x.json", self.MANIFEST, extra)
+
+        def refuse(name):
+            raise ValueError(f"{name} is no JSON")
+
+        payload = json.loads((tmp_path / "x.json").read_text(encoding="utf-8"), parse_constant=refuse)
+        assert payload["p_h"] is None and payload["regime"]["barrier"] is None
+        assert payload["a"] == [1.0, None] and payload["t"] == [None, 2]
 
 
 def scalar_points(xs, ys, bounds):
