@@ -35,7 +35,8 @@ off-diagonal row sum) (``_max_step``), one rule for every level.  A given
 step pins the fixed-step RK4 kernel ``_rk4``, the reference; without one, a
 G of dimension up to DENSE_EIG_CUTOFF is diagonalised once and the samples are
 rebuilt exactly (``_spectral``), unless its eigenvectors are ill
-conditioned, and a larger G runs RK4.  The Bloch system is never pinned.
+conditioned, and a larger G, or a refused one, runs RK4 at that bound (t_end
+for a zero G), the one step rule.  The Bloch system is never pinned.
 A real Hermitian H is diagonalised in real arithmetic.  Every register
 generator is one block arrowhead, a hub coupled to tails that do not couple
 to each other, laid out by ``register._block_arrowhead`` (the master
@@ -81,9 +82,9 @@ perturbative ground state and so propagate only the register's bright
 sector (``register.BrightSector``), about half the layout; the CLI's free
 evolution, from |T> or a saturated state, runs on it too, without the
 molecules, a quarter of the full layout.
-The full model is stiff (gamma_M/U is a few thousand), so its default step
-is 0.02/gamma_M, while the eliminated model and the master equation
-resolve the fastest coherence rotation with 0.01/(U+|V_c|).
+The full model is stiff (gamma_M/U is a few thousand), and the bound
+reads that off its molecular diagonal, so h gamma_M / 2 <= 0.05: at n = 501
+to t = 20/U its RK4 run, where eig is refused, takes 684,863 steps.
 """
 
 from __future__ import annotations
@@ -148,22 +149,13 @@ COND_V_LIMIT = NORM_MONOTONE_TOL / EPS
 SERIAL_BLAS_DIM = 512
 # Longest RK4 run accepted: about 2 h at the 70 us a step measured at dim 1001
 # on the box above.  The longest RK4 run the library itself asks for, the
-# full model at n = 501 to t = 20/U when eig is refused, is 3.4M steps.
+# full model at n = 501 to t = 20/U when eig is refused, is 684,863 steps at
+# its bound.
 MAX_RK4_STEPS = 10**8
 
 
 class IntegrationError(RuntimeError):
     """Raised when a step size is refused or an integration check fails."""
-
-
-def full_model_step(p: DerivedParams) -> float:
-    """Default RK4 step for the stiff full model."""
-    return 0.02 / p.gamma_m_over_u if p.gamma_m_over_u > 0 else 0.01 / (1.0 + p.vc_over_u)
-
-
-def eliminated_model_step(p: DerivedParams) -> float:
-    """Default RK4 step for the eliminated model and the master equation."""
-    return 0.01 / (1.0 + p.vc_over_u)
 
 
 def _plan_grid(t_end: float, dt: float, max_step: float, max_samples: int):
@@ -259,7 +251,7 @@ def _serial_blas(dim: int = 0):
     exception.
 
     The count above the cutoff is the processor count where the package
-    loaded numpy on one thread (``zenoreg._import_numpy_on_one_thread``),
+    loaded numpy on one thread (``zenoreg._import_on_one_thread``),
     else the count as found.  Only numpy's bundled OpenBLAS is switched;
     where it is not found (MKL, Accelerate, a system BLAS) this does
     nothing.  The count is global to the process, so this is not safe under
@@ -613,7 +605,6 @@ def _propagate(
     t_end: float,
     dt: float | None,
     max_samples: int,
-    default_dt: float | None = None,
 ):
     """Output grid and sample propagation of dy/dt = scale M y from ``y``,
     the one backend chooser and the only entry of every level.
@@ -624,12 +615,12 @@ def _propagate(
     never written; the run's arithmetic is the common type of M, scale and y.
     A given ``dt`` selects RK4, the reference.  Without it an operator of
     dimension up to DENSE_EIG_CUTOFF runs exact (``_spectral``) unless
-    cond(V) refuses; a larger one, or a refused one, runs RK4 at
-    ``default_dt`` capped at M's bound ``_max_step(op)`` (t_end when both
-    are None or infinite).  Either way ``_plan_grid`` checks the step
-    against that bound, so only a given ``dt`` can be refused there, and the
-    samples land on the same grid.  RK4 advances a copy of ``y`` in place,
-    and a run of more than MAX_RK4_STEPS steps is refused before it starts.
+    cond(V) refuses; a larger one, or a refused one, runs RK4 at M's bound
+    ``_max_step(op)`` (t_end for a zero M).  Either way ``_plan_grid``
+    checks the step against that bound, so only a given ``dt`` can be
+    refused there, and the samples land on the same grid.  RK4 advances a
+    copy of ``y`` in place, and a run of more than MAX_RK4_STEPS steps is
+    refused before it starts.
     """
     y = np.asarray(y)
     if y.dtype.kind not in "biufc":
@@ -641,9 +632,7 @@ def _propagate(
     max_step = _max_step(op)
     step = dt
     if step is None:
-        step = min(max_step, math.inf if default_dt is None else default_dt)
-        if not math.isfinite(step):
-            step = t_end
+        step = max_step if math.isfinite(max_step) else t_end
     n_steps, stride, h, t = _plan_grid(t_end, step, max_step, max_samples)
     if dt is None and op.dim <= DENSE_EIG_CUTOFF:
         spectral = _spectral(op, scale, y, t)
@@ -684,7 +673,6 @@ def evolve(
     t_end: float,
     dt: float | None = None,
     max_samples: int = MAX_OUTPUT_SAMPLES,
-    default_dt: float | None = None,
 ) -> TrajectorySeries:
     """Integrate i dpsi/dt = H psi from ``psi0``.
 
@@ -698,13 +686,13 @@ def evolve(
     dt <= 0.05 / (max |diag| + max off-diagonal row sum), and too-large
     steps are refused with the required bound in the message.  Without
     ``dt`` the run is exact, by one diagonalisation (``_spectral``), when
-    ``op`` fits DENSE_EIG_CUTOFF, and RK4 at ``default_dt`` (default: that
-    bound) otherwise or when the eigenvectors are ill conditioned;
+    ``op`` fits DENSE_EIG_CUTOFF, and RK4 at that bound otherwise or when
+    the eigenvectors are ill conditioned;
     ``backend`` on the result says which ran.  The output grid is
     linspace(0, t_end, max_samples), max_samples clamped to 2..5000.
     """
     amps0 = psi0.amplitudes if isinstance(psi0, StateVector) else psi0
-    t, run = _propagate(op, -1j, amps0, t_end, dt, max_samples, default_dt)
+    t, run = _propagate(op, -1j, amps0, t_end, dt, max_samples)
     norm, c_t = np.empty(t.size), np.empty(t.size, dtype=np.complex128)
     # a spectral run's columns B = Q R give c_T = B[0] p and ||psi|| = ||R p||
     readout, skip = None, 0
@@ -735,8 +723,8 @@ def _resolve_model(model: str | None, n: int) -> str:
 
 
 def _conditioned_problem(p: DerivedParams, n: int, model: str | None):
-    """Model name, generator, initial amplitudes, default RK4 step and
-    ``BrightSector`` of the conditioned dynamics.
+    """Model name, generator, initial amplitudes and ``BrightSector`` of the
+    conditioned dynamics.
 
     The register starts in the perturbative ground state, whose pair
     amplitudes depend on the pair energy alone, so it and every state the
@@ -748,9 +736,8 @@ def _conditioned_problem(p: DerivedParams, n: int, model: str | None):
     basis = build_basis(n)
     sector = BrightSector(basis, p.delta_over_u, molecular=model == "full")
     psi0 = sector.project(perturbative_ground_state(basis, p))
-    if model == "full":
-        return model, sector.restrict(build_effective_hamiltonian(basis, p)), psi0, full_model_step(p), sector
-    return model, sector.restrict(build_eliminated_hamiltonian(basis, p)), psi0, eliminated_model_step(p), sector
+    build = build_effective_hamiltonian if model == "full" else build_eliminated_hamiltonian
+    return model, sector.restrict(build(basis, p)), psi0, sector
 
 
 def null_trajectory(
@@ -768,11 +755,10 @@ def null_trajectory(
     fidelity reaches 99.9% of its final value.  The run propagates the
     bright sector (see ``_conditioned_problem``); ``final_state`` is in the
     full layout for the full model and in the T+S layout for the eliminated
-    one.  A given ``dt`` pins RK4; otherwise ``evolve`` chooses the backend,
-    with the model's default step for RK4.
+    one.  A given ``dt`` pins RK4; otherwise ``evolve`` chooses the backend.
     """
-    _, op, psi0, step, sector = _conditioned_problem(p, n, model)
-    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples, default_dt=step)
+    _, op, psi0, sector = _conditioned_problem(p, n, model)
+    series = evolve(op, psi0, t_end, dt=dt, max_samples=max_samples)
     rise = np.nonzero(np.diff(series.norm_sq) > NORM_MONOTONE_TOL)[0]
     if rise.size:
         i = rise[0] + 1
@@ -966,9 +952,9 @@ def jump_ensemble(
         raise ValueError(f"n_traj must be <= 2**32, got {n_traj}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    model, op, psi, step, _ = _conditioned_problem(p, n, model)
+    model, op, psi, _ = _conditioned_problem(p, n, model)
     # the very run, and so the very samples, of ``null_trajectory``
-    t, run = _propagate(op, -1j, psi, t_end, dt, max_samples, step)
+    t, run = _propagate(op, -1j, psi, t_end, dt, max_samples)
     thresholds = _threshold_draws(seed, n_traj)
     # The first point with ||psi||^2 <= r is the first whose running minimum
     # is <= r, and the running minimum falls even where the last bit of the
@@ -1133,7 +1119,7 @@ def reduced_master_equation(
         raise IntegrationError("initial state does not match the register size")
     gen = _rme_generator(p, basis)
     y = np.concatenate(([rho0.rho_tt], rho0.rho_ss, rho0.rho_st.real, rho0.rho_st.imag))
-    t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples, eliminated_model_step(p))
+    t, run = _propagate(gen, 1.0, y, t_end, dt, max_samples)
     out_tt, out_ss = np.empty(t.size), np.empty(t.size)
     for at, rows in run.grid_blocks():
         out_tt[at] = rows[:, 0]

@@ -61,6 +61,22 @@ def measurement_test_params(n: int = 5, strength: float = 1.5) -> DerivedParams:
     )
 
 
+# Reference steps of the pinned RK4 runs in these tests.  The library steps
+# an unpinned RK4 run at the generator's own bound (``dynamics._max_step``);
+# these are a fixed fraction of the fastest rate instead, so a pinned run
+# stays the same run whatever that bound reads.
+
+
+def full_model_step(p: DerivedParams) -> float:
+    """Reference RK4 step for the stiff full model."""
+    return 0.02 / p.gamma_m_over_u if p.gamma_m_over_u > 0 else 0.01 / (1.0 + p.vc_over_u)
+
+
+def eliminated_model_step(p: DerivedParams) -> float:
+    """Reference RK4 step for the eliminated model and the master equation."""
+    return 0.01 / (1.0 + p.vc_over_u)
+
+
 def free_params(u_over_j: float, delta: float = 0.0) -> DerivedParams:
     """Measurement off: only J and the trap scale matter."""
     return DerivedParams(

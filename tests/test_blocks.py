@@ -12,14 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import grid_rows, measurement_test_params
+from conftest import eliminated_model_step, grid_rows, measurement_test_params
 from zenoreg import dynamics
 from zenoreg.dynamics import (
     EPS,
     SPECTRAL_BLOCK,
     IntegrationError,
     ReducedDensityState,
-    eliminated_model_step,
     evolve,
     reduced_master_equation,
     _conditioned_problem,
@@ -34,9 +33,11 @@ from test_dynamics import blas_threads, record_threads  # noqa: F401 (a fixture)
 def pinned_run(n_samples=300):
     """A pinned RK4 run of the conditioned register at n = 5 whose step is a
     third of the grid's gap, and its grid."""
-    _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
+    p = measurement_test_params()
+    _, op, psi, _ = _conditioned_problem(p, 5, "eliminated")
+    step = eliminated_model_step(p)
     t_end = 3.0 * step * (n_samples - 1)
-    return _propagate(op, -1j, psi, t_end, step, n_samples, step)
+    return _propagate(op, -1j, psi, t_end, step, n_samples)
 
 
 class TestPinnedRk4Blocks:
@@ -65,8 +66,9 @@ class TestPinnedRk4Blocks:
     def test_evolve_records_what_the_per_sample_loop_did(self):
         t, reference = pinned_run()
         rows = np.array([y.copy() for y in grid_rows(reference)])
-        _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
-        series = evolve(op, psi, t[-1], dt=step, max_samples=t.size)
+        p = measurement_test_params()
+        _, op, psi, _ = _conditioned_problem(p, 5, "eliminated")
+        series = evolve(op, psi, t[-1], dt=eliminated_model_step(p), max_samples=t.size)
         norm = np.array([np.vdot(y, y).real for y in rows])
         assert series.backend == "rk4"
         assert np.allclose(series.norm_sq, norm, rtol=4 * EPS, atol=0.0)
@@ -87,7 +89,7 @@ class TestNegativityStop:
         rho0 = ReducedDensityState(0.0, np.zeros(m), rho_st)
         gen = _rme_generator(p, basis)
         y = np.concatenate(([0.0], rho0.rho_ss, rho_st.real, rho_st.imag))
-        t, run = _propagate(gen, 1.0, y, 0.05, dt, 400, eliminated_model_step(p))
+        t, run = _propagate(gen, 1.0, y, 0.05, dt, 400)
         first = next(i for i, y in enumerate(grid_rows(run)) if y[0] < -1e-6 or y[1 : 1 + m].min() < -1e-6)
         assert first > SPECTRAL_BLOCK and first % SPECTRAL_BLOCK not in (0, SPECTRAL_BLOCK - 1)
         with pytest.raises(IntegrationError, match=f"population went negative at t = {t[first]:.6g}$"):
@@ -102,15 +104,15 @@ def free_problem(n):
         sector = BrightSector(basis, p.delta_over_u, molecular=False)
         psi = np.zeros(sector.dim, dtype=np.complex128)
         psi[0] = 1.0
-        return sector.restrict(build_free_hamiltonian(basis, p)), psi, None
+        return sector.restrict(build_free_hamiltonian(basis, p)), psi
 
     return problem
 
 
 def conditioned_problem(n, model):
     def problem(p):
-        _, op, psi, step, _ = _conditioned_problem(p, n, model)
-        return op, psi, step
+        _, op, psi, _ = _conditioned_problem(p, n, model)
+        return op, psi
 
     return problem
 
@@ -130,11 +132,11 @@ class TestProjectedEvolve:
         # c_T and ||psi||^2 read off the thin QR of the rebuild's columns,
         # and the state formed only at t_end, agree with the rebuilt states
         problem, t_end, backend = PROJECTED[case]
-        op, psi, step = problem(reference_params)
+        op, psi = problem(reference_params)
         recorded, population = [], dynamics._conditioned_population
         monkeypatch.setattr(dynamics, "_conditioned_population", lambda c_t, norm: recorded.append(c_t) or population(c_t, norm))
-        series = evolve(op, psi, t_end, default_dt=step)
-        _, run = _propagate(op, -1j, psi, t_end, None, series.t.size, step)
+        series = evolve(op, psi, t_end)
+        _, run = _propagate(op, -1j, psi, t_end, None, series.t.size)
         assert series.backend == run.backend == backend and run.columns.shape[1] < op.dim
         rows = np.array([y.copy() for y in grid_rows(run)])
         assert np.max(np.abs(series.norm_sq - np.vecdot(rows, rows).real)) <= 1e-13
@@ -147,7 +149,7 @@ class TestProjectedEvolve:
         # the idle worker then spins for about 0.1 s of CPU time
         get, _ = blas_threads
         seen = [record_threads(monkeypatch, get, owner, name) for owner, name in [(np.linalg, "qr"), (np, "vecdot")]]
-        op, psi, step = conditioned_problem(51, "eliminated")(reference_params)
-        assert evolve(op, psi, 30.0, default_dt=step).backend == "eig"
+        op, psi = conditioned_problem(51, "eliminated")(reference_params)
+        assert evolve(op, psi, 30.0).backend == "eig"
         assert len(seen[0]) == 1 and len(seen[1]) > 1
         assert set(seen[0] + seen[1]) == {1} and get() == 2

@@ -582,8 +582,9 @@ class TestUnwritableOutput:
 
 class TestDefaultStepAboveTheBound:
     def test_unpinned_trajectory_runs_exact(self, runner, tmp_path):
-        # the eliminated model's default step exceeds the RK4 bound here; no
-        # --dt was given, so nothing is refused and the run is exact
+        # the eliminated model's reference step 0.01/(U+|V_c|) exceeds the
+        # RK4 bound here; no --dt was given, so nothing is refused and the
+        # run is exact
         out = tmp_path / "traj"
         result = runner.invoke(main, ["trajectory", "--n", "201", "--u-over-j", "3", "--t-end", "1", "--out", str(out)])
         assert result.exit_code == 0, result.output

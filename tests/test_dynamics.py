@@ -15,7 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zenoreg
-from conftest import free_params, grid_rows, measurement_test_params, reduced_s_index
+from conftest import (
+    eliminated_model_step,
+    free_params,
+    full_model_step,
+    grid_rows,
+    measurement_test_params,
+    reduced_s_index,
+)
 from zenoreg import dynamics, rowblocks
 from zenoreg.dynamics import (
     DENSE_EIG_CUTOFF,
@@ -28,10 +35,8 @@ from zenoreg.dynamics import (
     ReducedDensityState,
     bloch_evolution,
     collective_coupling,
-    eliminated_model_step,
     evolve,
     finite_efficiency_fidelity,
-    full_model_step,
     ground_reduced_density,
     jump_ensemble,
     nonselective_fidelity_closed,
@@ -206,21 +211,34 @@ class TestOneGrid:
             assert np.array_equal(series.t, grid), name
 
 
+PINNABLE = [
+    "null_trajectory eliminated",
+    "null_trajectory full",
+    "evolve eliminated",
+    "evolve full",
+    "jump_ensemble eliminated",
+    "jump_ensemble full",
+    "reduced_master_equation",
+    "exact_evolve_fidelity",
+]
+
+
 def pinned_level(name: str):
     """The generator G that the level ``name`` runs at n = 5 (3 atoms for the
-    oracle), and that level run for four RK4 steps of a given dt."""
+    oracle), and that level run to a given t_end at a given dt (None: the
+    backend chooser's pick), on a grid of three samples."""
     p = measurement_test_params(5)
     level, _, model = name.partition(" ")
     if level == "reduced_master_equation":
-        return _rme_generator(p, build_basis(5)), lambda dt: reduced_master_equation(p, 5, t_end=4 * dt, dt=dt, max_samples=3)
+        return _rme_generator(p, build_basis(5)), lambda t_end, dt: reduced_master_equation(p, 5, t_end=t_end, dt=dt, max_samples=3)
     if level == "exact_evolve_fidelity":
         basis = fock_basis(3, 3)
-        return build_bose_hubbard(basis, 0.1, 1.0, 1e-3), lambda dt: exact_evolve_fidelity(basis, 0.1, 1.0, 1e-3, 4 * dt, dt, 3)
-    _, op, psi, _, _ = _conditioned_problem(p, 5, model)
+        return build_bose_hubbard(basis, 0.1, 1.0, 1e-3), lambda t_end, dt: exact_evolve_fidelity(basis, 0.1, 1.0, 1e-3, t_end, dt, 3)
+    _, op, psi, _ = _conditioned_problem(p, 5, model)
     runs = {
-        "null_trajectory": lambda dt: null_trajectory(p, 5, 4 * dt, model, dt, 3),
-        "evolve": lambda dt: evolve(op, psi, 4 * dt, dt, 3),
-        "jump_ensemble": lambda dt: jump_ensemble(p, 5, 8, 0, 4 * dt, model, dt, 3),
+        "null_trajectory": lambda t_end, dt: null_trajectory(p, 5, t_end, model, dt, 3),
+        "evolve": lambda t_end, dt: evolve(op, psi, t_end, dt, 3),
+        "jump_ensemble": lambda t_end, dt: jump_ensemble(p, 5, 8, 0, t_end, model, dt, 3),
     }
     return op, runs[level]
 
@@ -228,25 +246,45 @@ def pinned_level(name: str):
 class TestOneStepBound:
     # every pinnable level accepts dt = _max_step(G) of the generator G it
     # runs and refuses any larger step, naming that very bound
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "null_trajectory eliminated",
-            "null_trajectory full",
-            "evolve eliminated",
-            "evolve full",
-            "jump_ensemble eliminated",
-            "jump_ensemble full",
-            "reduced_master_equation",
-            "exact_evolve_fidelity",
-        ],
-    )
+    @pytest.mark.parametrize("name", PINNABLE)
     def test_accepts_the_bound_and_refuses_above_it(self, name):
         gen, run = pinned_level(name)
         bound = _max_step(gen)
-        assert run(bound).backend == "rk4"
+        assert run(4 * bound, bound).backend == "rk4"
+        above = bound * (1.0 + 1e-9)
         with pytest.raises(IntegrationError, match=f"require dt <= {re.escape(str(bound))}$"):
-            run(bound * (1.0 + 1e-9))
+            run(4 * above, above)
+
+    # where the spectral backend declines, above DENSE_EIG_CUTOFF or refused
+    # by cond(V), an unpinned run is the RK4 run pinned at its generator's
+    # own bound, bit for bit; the Bloch level takes no step, so its one
+    # ``_propagate`` run is pinned there
+    @pytest.mark.parametrize("decline", ["cutoff", "refused"])
+    @pytest.mark.parametrize("name", PINNABLE + ["bloch_evolution"])
+    def test_unpinned_rk4_at_bound(self, monkeypatch, name, decline):
+        if decline == "cutoff":
+            monkeypatch.setattr(dynamics, "DENSE_EIG_CUTOFF", 2)
+        else:
+            monkeypatch.setattr(dynamics, "_spectral", lambda *args: None)
+        if name == "bloch_evolution":
+            p, propagate = measurement_test_params(5), dynamics._propagate
+            unpinned = bloch_evolution(p, 5, t_end=1.0, max_samples=11)
+
+            def at_bound(op, scale, y, t_end, dt, max_samples):
+                return propagate(op, scale, y, t_end, _max_step(op), max_samples)
+
+            monkeypatch.setattr(dynamics, "_propagate", at_bound)
+            pinned = bloch_evolution(p, 5, t_end=1.0, max_samples=11)
+        else:
+            gen, run = pinned_level(name)
+            bound = _max_step(gen)
+            unpinned, pinned = run(50 * bound, None), run(50 * bound, bound)
+        assert unpinned.backend == pinned.backend == "rk4"
+        for field, value in vars(unpinned).items():
+            other = getattr(pinned, field)
+            if isinstance(value, StateVector):
+                value, other = value.amplitudes, other.amplitudes
+            np.testing.assert_array_equal(value, other, err_msg=field)
 
     @pytest.mark.parametrize("t_end", [1e-310, 5e-324, np.finfo(float).tiny * (1.0 - EPS)])
     def test_unresolvable_t_end_refused(self, t_end):
@@ -293,17 +331,18 @@ class TestJumpEnsemble:
         assert 0.5 * p_fail < fraction < 1.3 * p_fail
 
     def test_memory_does_not_grow_with_step_count(self):
-        # about 40k RK4 steps: a record of the norm after every step would
+        # 40k pinned RK4 steps: a record of the norm after every step would
         # alone take 320 kB
         p = measurement_test_params()
-        kwargs = dict(n_traj=100, seed=1, model="full", max_samples=501)
+        kwargs = dict(n_traj=100, seed=1, model="full", dt=full_model_step(p), max_samples=501)
         jump_ensemble(p, 5, t_end=0.1, **kwargs)  # first-call imports and caches
         tracemalloc.start()
         try:
-            jump_ensemble(p, 5, t_end=20.0, **kwargs)
+            ens = jump_ensemble(p, 5, t_end=20.0, **kwargs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert ens.backend == "rk4"
         assert peak < 100_000
 
     def test_memory_per_trajectory(self, reference_params):
@@ -744,7 +783,8 @@ def rk4_reference_ensemble(p, n: int, n_traj: int, seed: int, t_end: float, mode
     """The RK4 jump ensemble written out with every step kept: trajectory i
     jumps at the first step whose running-minimum norm is <= r_i.
     Returns survival, cond_fidelity and jump_times."""
-    _, op, psi, step, _ = _conditioned_problem(p, n, model)
+    _, op, psi, _ = _conditioned_problem(p, n, model)
+    step = full_model_step(p) if model == "full" else eliminated_model_step(p)
     n_steps, stride, h, _ = _plan_grid(t_end, step, _max_step(op), max_samples)
     states = np.array([y.copy() for y in _rk4(op.matrix * -1j, psi, h, n_steps)])
     norms = np.array([np.vdot(y, y).real for y in states])
@@ -862,8 +902,8 @@ class TestSpectralEnsemble:
         # rounding of one evaluation of N
         p = measurement_test_params()
         ens = jump_ensemble(p, 5, n_traj=n_traj, seed=seed, t_end=t_end, model="full", max_samples=11)
-        _, op, psi, step, _ = _conditioned_problem(p, 5, "full")
-        _, run = _propagate(op, -1j, psi, t_end, None, 11, step)
+        _, op, psi, _ = _conditioned_problem(p, 5, "full")
+        _, run = _propagate(op, -1j, psi, t_end, None, 11)
 
         def norm(times):
             return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
@@ -874,7 +914,7 @@ class TestSpectralEnsemble:
         assert np.all(norm(t_star) <= r + rounding)
         assert np.all(r < norm(t_star - 1e-11 * t_end))
         # continuous times, not multiples of the RK4 step
-        _, _, h, _ = _plan_grid(t_end, step, math.inf, 11)
+        _, _, h, _ = _plan_grid(t_end, full_model_step(p), math.inf, 11)
         assert np.any(np.abs(t_star / h - np.round(t_star / h)) > 1e-3)
 
     @pytest.mark.parametrize("model, max_samples", [("full", 6), ("eliminated", 5000)])
@@ -897,8 +937,8 @@ class TestSpectralEnsemble:
         # seed 7: at most 5.8e-11 of t* at n = 51, 1.6e-11 at n = 501)
         kwargs = dict(n_traj=20_000, seed=7, t_end=30.0, model="eliminated")
         ens = jump_ensemble(reference_params, n, **kwargs)
-        _, op, psi, step, _ = _conditioned_problem(reference_params, n, "eliminated")
-        _, run = _propagate(op, -1j, psi, 30.0, None, 501, step)
+        _, op, psi, _ = _conditioned_problem(reference_params, n, "eliminated")
+        _, run = _propagate(op, -1j, psi, 30.0, None, 501)
 
         def norm(times):
             return np.concatenate([np.vecdot(b, b).real for b in run.blocks(times)])
@@ -1023,8 +1063,8 @@ class TestSerialBlas:
 
     def test_count_restored_between_samples_and_after_a_dropped_run(self, blas_threads):
         get, _ = blas_threads
-        _, op, psi, step, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
-        _, run = _propagate(op, -1j, psi, 1.0, None, 1000, step)
+        _, op, psi, _ = _conditioned_problem(measurement_test_params(), 5, "eliminated")
+        _, run = _propagate(op, -1j, psi, 1.0, None, 1000)
         assert run.backend == "eig"
         points = grid_rows(run)
         for _ in range(SPECTRAL_BLOCK + 10):  # into the second block
@@ -1147,7 +1187,7 @@ class TestGridRebuild:
         # the grid's phases are advanced block to block; the bisection's
         # arbitrary times take one exp an entry
         if generator == "conditioned":
-            _, op, y, _, _ = _conditioned_problem(reference_params, 51, "eliminated")
+            _, op, y, _ = _conditioned_problem(reference_params, 51, "eliminated")
             scale, t_end = -1j, 30.0
         else:
             p = measurement_test_params(21)
@@ -1233,44 +1273,14 @@ class TestBackendChoice:
     @pytest.mark.parametrize("n_steps", [1, 3, 5000])
     def test_unpinned_runs_below_the_cap_are_exact(self, reference_params, n_steps):
         # no cost model: a run of a few steps goes spectral as a long one does
-        _, op, psi, step, _ = _conditioned_problem(reference_params, 5, "eliminated")
+        _, op, psi, _ = _conditioned_problem(reference_params, 5, "eliminated")
+        step = eliminated_model_step(reference_params)
         assert _plan_grid(n_steps * step, step, _max_step(op), 2)[0] == n_steps
-        _, run = _propagate(op, -1j, psi, n_steps * step, None, 2, step)
+        _, run = _propagate(op, -1j, psi, n_steps * step, None, 2)
         assert run.backend == "eig"
         h = two_level(1.0)
         _, run = _propagate(h, -1j, np.array([1.0, 0.0], dtype=complex), n_steps * _max_step(h), None, 2)
         assert run.backend == "eigh"
-
-    def test_operator_above_the_cap_runs_rk4(self, reference_params, monkeypatch):
-        # with the cap below the operator's dim, the unpinned run is the RK4
-        # run at the model's default step
-        monkeypatch.setattr(dynamics, "DENSE_EIG_CUTOFF", 2)
-        series = null_trajectory(reference_params, 5, t_end=1.0, model="eliminated", max_samples=11)
-        pinned = null_trajectory(
-            reference_params, 5, t_end=1.0, model="eliminated", dt=eliminated_model_step(reference_params), max_samples=11
-        )
-        assert series.backend == pinned.backend == "rk4" and series.cond_v is None
-        assert np.array_equal(series.norm_sq, pinned.norm_sq)
-        assert np.array_equal(series.fidelity, pinned.fidelity)
-
-    def test_default_step_above_the_bound_is_capped(self, reference_params, monkeypatch):
-        # at n = 201 and U/J = 3 the eliminated model's default step exceeds
-        # the RK4 bound: given as --dt it is refused, but an unpinned run
-        # goes spectral, and where the spectral backend declines, RK4 runs
-        # at the bound
-        p = replace(reference_params, j_over_u=1.0 / 3.0)
-        _, op, _, step, _ = _conditioned_problem(p, 201, "eliminated")
-        assert step > _max_step(op)
-        run = dict(t_end=1.0, model="eliminated", max_samples=11)
-        with pytest.raises(IntegrationError, match="too large"):
-            null_trajectory(p, 201, dt=step, **run)
-        assert null_trajectory(p, 201, **run).backend == "eig"
-        monkeypatch.setattr(dynamics, "_spectral", lambda *args: None)
-        series = null_trajectory(p, 201, **run)
-        pinned = null_trajectory(p, 201, dt=_max_step(op), **run)
-        assert series.backend == pinned.backend == "rk4"
-        np.testing.assert_array_equal(series.norm_sq, pinned.norm_sq)
-        np.testing.assert_array_equal(series.fidelity, pinned.fidelity)
 
     @pytest.mark.parametrize("imaginary", [False, True])
     def test_real_hermitian_operator_is_diagonalised_in_real_arithmetic(self, reference_params, monkeypatch, imaginary):
@@ -1400,7 +1410,7 @@ class TestSecularSolver:
 
     @pytest.mark.parametrize("n", [3, 5, 51, 501])
     def test_matches_lapack(self, reference_params, monkeypatch, n):
-        _, op, psi0, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+        _, op, psi0, _ = _conditioned_problem(reference_params, n, "eliminated")
         assert dynamics._secular_eig(op) is not None
         t = np.linspace(0.0, 30.0, 301)
         structured, states = spectral_states(op, psi0, t)
@@ -1440,7 +1450,7 @@ class TestSecularSolver:
         # one block of every row, or the shortest blocks _row_blocks makes,
         # against the default: the roots, Löwner's couplings, coef, cond(V)
         # and the rebuilt states
-        _, op, psi0, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+        _, op, psi0, _ = _conditioned_problem(reference_params, n, "eliminated")
         a0, _, u, _, tails = op.arrowhead
         c, d = u[:, 0].astype(np.complex128), tails[:, 0, 0].astype(np.complex128)
         y, t = np.array(psi0, dtype=np.complex128), np.linspace(0.0, 30.0, 301)
@@ -1468,12 +1478,12 @@ class TestSecularSolver:
         # V^T / s, and LAPACK's inverse of a complex operator (the full
         # model's) and of a real one (the master equation's generator)
         if source == "secular":
-            _, op, y, _, _ = _conditioned_problem(reference_params, n, "eliminated")
+            _, op, y, _ = _conditioned_problem(reference_params, n, "eliminated")
             _, vecs, given = dynamics._secular_eig(op)
             inv = vecs.T / given[:, None]
         else:
             if source == "lapack":
-                _, op, y, _, _ = _conditioned_problem(reference_params, n, "full")
+                _, op, y, _ = _conditioned_problem(reference_params, n, "full")
             else:
                 op = _rme_generator(reference_params, build_basis(n))
                 y = np.linspace(1.0, 2.0, op.dim)
@@ -1488,7 +1498,7 @@ class TestSecularSolver:
     def test_spectral_holds_v_and_blocks(self, reference_params):
         # V is the only dim x dim array: the default trajectory's solve
         # peaks within 1.5 times V's 16 dim^2 bytes
-        _, op, psi0, _, _ = _conditioned_problem(reference_params, 501, "eliminated")
+        _, op, psi0, _ = _conditioned_problem(reference_params, 501, "eliminated")
         y, t = np.array(psi0, dtype=np.complex128), np.linspace(0.0, 30.0, 5000)
         _spectral(op, -1j, y, t)  # first-call imports and caches
         tracemalloc.start()
@@ -1555,7 +1565,7 @@ class TestBrightSector:
     @pytest.mark.parametrize("model", ["eliminated", "full"])
     @pytest.mark.parametrize("n", [5, 51])
     def test_sector_is_invariant(self, reference_params, n, model):
-        _, reduced, psi0, _, sector = _conditioned_problem(reference_params, n, model)
+        _, reduced, psi0, sector = _conditioned_problem(reference_params, n, model)
         op, ground, _ = unreduced_problem(reference_params, n, model)
         w = isometry(sector)
         assert np.allclose(w.conj().T @ w, np.eye(sector.dim), rtol=0.0, atol=1e-15)
@@ -1579,7 +1589,7 @@ class TestBrightSector:
     @pytest.mark.parametrize("model, dim", [("eliminated", 2), ("full", 3)])
     def test_one_group_at_zero_delta(self, reference_params, model, dim):
         p = replace(reference_params, delta_over_u=0.0)
-        _, op, psi0, _, _ = _conditioned_problem(p, 51, model)
+        _, op, psi0, _ = _conditioned_problem(p, 51, model)
         assert op.dim == psi0.size == dim
         whole_op, ground, step = unreduced_problem(p, 51, model)
         kwargs = dict(t_end=200 * step, dt=step, max_samples=11)
